@@ -189,19 +189,14 @@ func runBench(outPath string, reuse bool) error {
 
 		// The service path end to end on a warm session: request
 		// admission, cost-aware fair-share dispatch, pool execution and
-		// per-cell merge. Two rows share one repeat-heavy multi-workload
-		// request — the shape where per-repeat setup hurts most, because
-		// parallel scalar workers ping-pong between cells and re-pay the
-		// graph rebuild and the oracle's kernel memo on each switch.
-		// SessionSweepWarm forces the scalar path (one dispatcher unit
-		// per repeat); BatchedSweepWarm lets the dispatcher hand each
-		// cell's repeats to one worker as lockstep lanes of a single
-		// runtime. Results are bit-identical either way, so the gap
-		// between the rows is pure dispatch-granularity overhead. The
-		// load-bearing signal is allocs/op — batching roughly halves it,
-		// deterministically — while the tasks/s gap is at the mercy of
-		// the host's core count (see PERF.md); perfgate gates the alloc
-		// ratio hard and the throughput ratio loosely.
+		// per-cell merge, on one repeat-heavy multi-workload request —
+		// the shape where per-repeat setup hurts most, because parallel
+		// workers ping-pong between cells and re-pay the graph rebuild
+		// and the oracle's kernel memo on each switch. The load-bearing
+		// signal is allocs/op: the builders rebuild into recycled arenas,
+		// so a warm request allocates about a hundred objects and a leak
+		// on the serving path shows up as a multiple of that (see
+		// PERF.md).
 		sess := e.Session()
 		const sweepRepeats = 3
 		var sweepJobs []service.Job
@@ -213,42 +208,33 @@ func runBench(outPath string, reuse bool) error {
 					Make: func() taskrt.Scheduler { return sess.NewScheduler("GRWS") }})
 			}
 		}
-		sweepReq := func(noBatch bool) service.SweepRequest {
-			return service.SweepRequest{
-				Jobs:     sweepJobs,
-				Scale:    0.05,
-				Seed:     1,
-				Repeats:  sweepRepeats,
-				Parallel: 2,
-				NoBatch:  noBatch,
-			}
+		sweepReq := service.SweepRequest{
+			Jobs:     sweepJobs,
+			Scale:    0.05,
+			Seed:     1,
+			Repeats:  sweepRepeats,
+			Parallel: 2,
 		}
-		// Warm the pool, arenas and schedulers on both claim
-		// granularities so neither row pays first-touch costs.
-		sess.Submit(sweepReq(true))
-		sess.Submit(sweepReq(false))
-		sweepBench := func(noBatch bool) func(b *testing.B) {
-			return func(b *testing.B) {
-				totalTasks = 0
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					res, _ := sess.Submit(sweepReq(noBatch))
-					for _, m := range res.Reports {
-						for _, rep := range m {
-							totalTasks += rep.Stats.TasksExecuted * sweepRepeats
-						}
-					}
-				}
-				elapsed = time.Since(start)
-			}
-		}
-		tasksMetric := func(testing.BenchmarkResult) map[string]float64 {
+		// Warm the pool, arenas and schedulers so the row pays no
+		// first-touch costs.
+		sess.Submit(sweepReq)
+		add("SessionSweepWarm", func(testing.BenchmarkResult) map[string]float64 {
 			return map[string]float64{
 				"tasks_per_s": float64(totalTasks) / elapsed.Seconds(),
 			}
-		}
-		add("SessionSweepWarm", tasksMetric, sweepBench(true))
-		add("BatchedSweepWarm", tasksMetric, sweepBench(false))
+		}, func(b *testing.B) {
+			totalTasks = 0
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				res, _ := sess.Submit(sweepReq)
+				for _, m := range res.Reports {
+					for _, rep := range m {
+						totalTasks += rep.Stats.TasksExecuted * sweepRepeats
+					}
+				}
+			}
+			elapsed = time.Since(start)
+		})
 
 		// Plan pre-training, measured as the pair perfgate gates: the
 		// same JOSS sweep served cold (a fresh plan cache every

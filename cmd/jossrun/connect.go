@@ -66,20 +66,10 @@ func decodeOrError(resp *http.Response, okCode int, out any) error {
 	return nil
 }
 
-// batchField maps the -batch flag to its wire form: batching is the
-// daemon-side default, so only an explicit opt-out travels.
-func batchField(batch bool) *bool {
-	if batch {
-		return nil
-	}
-	off := false
-	return &off
-}
-
 // asyncRemote enqueues one run as a fire-and-forget job on the daemon
 // (POST /jobs) and prints the job id — the handle for `jossrun
 // -connect ... -watch ID` or plain curl polling.
-func asyncRemote(target, bench, schedName string, speedup, scale float64, seed int64, repeats, retries int, batch bool) error {
+func asyncRemote(target, bench, schedName string, speedup, scale float64, seed int64, repeats, retries int) error {
 	r, err := newRemote(target, retries)
 	if err != nil {
 		return err
@@ -90,7 +80,6 @@ func asyncRemote(target, bench, schedName string, speedup, scale float64, seed i
 		Scale:      scale,
 		Seed:       &seed,
 		Repeats:    repeats,
-		Batch:      batchField(batch),
 	})
 	if err != nil {
 		return err
@@ -219,7 +208,7 @@ func printTrainResult(target string, res service.WireTrainResult, wall time.Dura
 // — the daemon records a Chrome trace of the simulation (observer-only;
 // the report stays byte-identical) and runRemote writes the returned
 // trace JSON to the file.
-func runRemote(target, bench, schedName string, speedup, scale float64, seed int64, repeats, retries int, batch bool, traceOut string) error {
+func runRemote(target, bench, schedName string, speedup, scale float64, seed int64, repeats, retries int, traceOut string) error {
 	r, err := newRemote(target, retries)
 	if err != nil {
 		return err
@@ -230,7 +219,6 @@ func runRemote(target, bench, schedName string, speedup, scale float64, seed int
 		Scale:   scale,
 		Seed:    &seed, // pointer on the wire so seed 0 survives the trip
 		Repeats: repeats,
-		Batch:   batchField(batch),
 	})
 	if err != nil {
 		return err

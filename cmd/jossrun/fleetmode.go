@@ -29,7 +29,7 @@ func splitList(s string) []string {
 // merged result plus the degradation report. The merged per-cell
 // reports are byte-identical to a single daemon's /sweep response —
 // failover, spillover and shard deaths change only the telemetry.
-func fleetSweep(targets []string, benchList, schedList string, speedup, scale float64, seed int64, repeats int, batch bool, showMetrics bool) error {
+func fleetSweep(targets []string, benchList, schedList string, speedup, scale float64, seed int64, repeats int, showMetrics bool) error {
 	benches := splitList(benchList)
 	scheds := splitList(schedList)
 	if speedup > 1 {
@@ -59,7 +59,6 @@ func fleetSweep(targets []string, benchList, schedList string, speedup, scale fl
 		Scale:      scale,
 		Seed:       &seed,
 		Repeats:    repeats,
-		Batch:      batchField(batch),
 	})
 	printFleetResult(res, deg)
 	if showMetrics {

@@ -83,8 +83,8 @@ type Graph struct {
 	edgeUsed   int // edge-arena slots handed out across all chunks
 
 	// baseNpred/baseRoots cache the graph's initial ready-state — the
-	// per-task predecessor counts and the root set — so every execution
-	// lane starts from an O(tasks) array copy instead of re-walking the
+	// per-task predecessor counts and the root set — so every run
+	// starts from an O(tasks) array copy instead of re-walking the
 	// edge lists. Derived from the immutable Preds structure (never from
 	// the mutable npred counters), recomputed lazily after any
 	// structural change.

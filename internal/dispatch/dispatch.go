@@ -21,15 +21,6 @@
 //     a big cell's repeats spread over workers early instead of
 //     forming the straggler tail.
 //
-// Jobs that provide Spec.RunBatch additionally allow batched claims:
-// an uncontended job hands all Repeats of one cell to a single worker
-// as one claim, amortising per-unit dispatch and the service's
-// per-repeat environment work. Batching is a claim-granularity policy
-// under the same two-level ordering — any contention (another job with
-// pending units) or a thin tail (fewer whole cells pending than the
-// job's Width) falls back to scalar units, so overtaking and tail
-// latency behave exactly as before.
-//
 // Dispatch order is a wall-clock policy only. Units must be
 // independent of each other and of which worker runs them — the
 // service's run units are independent deterministic simulations — so
@@ -135,24 +126,6 @@ type Spec struct {
 	// from pool worker goroutines, never concurrently for the same
 	// worker id, and must not panic.
 	Run func(worker int, u Unit)
-	// RunBatch, when non-nil, opts the job into batched claims: a free
-	// worker may take all Repeats of one cell as a single claim and
-	// execute them via RunBatch instead of Repeats separate Run calls
-	// (the service runs them as lanes of one runtime). The dispatcher
-	// batches only when the job is the sole job with pending units (any
-	// contention falls back to scalar units, preserving small-probe
-	// overtaking) and enough whole cells remain pending to keep Width
-	// workers busy with one cell each (a job near its tail falls back
-	// to scalar units so the last cells' repeats spread over workers
-	// instead of forming a straggler).
-	//
-	// RunBatch returns the number of repeats it executed, in
-	// [0, Repeats]. A caller-side abort (the service's cooperative
-	// cancel) may stop a claim early; the unrun remainder is accounted
-	// as dropped — the same bucket as scalar units a Cancel dequeued —
-	// and the cell's OnCellDone does not fire. Like Run it must not
-	// panic.
-	RunBatch func(worker int, cell int) int
 	// OnCellDone, when non-nil, is called once per cell after the last
 	// of the cell's repeats completes (from the worker goroutine that
 	// ran it; it must not block indefinitely).
@@ -162,9 +135,9 @@ type Spec struct {
 // Progress is a point-in-time snapshot of a job's unit accounting.
 type Progress struct {
 	Total     int // units at admission (Cells × Repeats)
-	Done      int // units executed (scalar Run returns + batched lanes run)
+	Done      int // units executed
 	InFlight  int // units currently on a worker
-	Dropped   int // units discarded by Cancel before dispatch, plus unrun lanes of aborted batched claims
+	Dropped   int // units discarded by Cancel before dispatch
 	Cancelled bool
 	Finished  bool // no unit will run anymore (done + dropped == total)
 }
@@ -181,8 +154,7 @@ type Job struct {
 	// All fields below are guarded by pool.mu.
 	queue     []Unit // pending units, largest cell first; head is next
 	head      int
-	inflight  int // units on workers (a batched claim counts Repeats)
-	slots     int // workers currently running this job's claims
+	inflight  int // units on workers
 	done      int
 	dropped   int
 	cellDone  []int
@@ -401,19 +373,14 @@ func beats(a, b *Job) bool {
 	return a.seq > b.seq
 }
 
-// pick selects the next claim under the fair-share policy, or nil when
-// no job has an eligible unit. A claim is normally one unit (n = 1);
-// for a batch-capable job it may be all Repeats of the head cell
-// (n = Repeats) when the batch policy allows — see Spec.RunBatch. The
-// returned quantum is the virtual service the dispatching worker must
-// charge for the whole claim (n × cost/weight). Called with p.mu held.
-func (p *Pool) pick() (*Job, Unit, int, float64) {
+// pick selects the next unit under the fair-share policy, or nil when
+// no job has an eligible unit. The returned quantum is the virtual
+// service the dispatching worker must charge for the unit
+// (cost/weight). Called with p.mu held.
+func (p *Pool) pick() (*Job, Unit, float64) {
 	var best *Job
 	for _, j := range p.jobs {
-		// Width gates worker occupancy (slots), not unit count: a
-		// batched claim holds one worker however many repeats it
-		// carries.
-		if j.head >= len(j.queue) || j.slots >= j.spec.Width {
+		if j.head >= len(j.queue) || j.inflight >= j.spec.Width {
 			continue
 		}
 		if best == nil || beats(j, best) {
@@ -421,28 +388,18 @@ func (p *Pool) pick() (*Job, Unit, int, float64) {
 		}
 	}
 	if best == nil {
-		return nil, Unit{}, 0, 0
+		return nil, Unit{}, 0
 	}
 	u := best.queue[best.head]
-	n := 1
-	if best.spec.RunBatch != nil && best.spec.Repeats > 1 &&
-		u.Repeat == 0 && len(p.jobs) == 1 {
-		// Repeats are adjacent in repeat order, so a head at repeat 0
-		// means the whole cell is still pending and the remaining queue
-		// is whole cells only.
-		if cells := (len(best.queue) - best.head) / best.spec.Repeats; cells >= best.spec.Width {
-			n = best.spec.Repeats
-		}
-	}
-	best.head += n
-	p.queued -= n
+	best.head++
+	p.queued--
 	// A zero-cost cell still consumes a worker; floor the quantum at 1
 	// so fair-share accounting always advances.
 	cost := int64(best.spec.Costs[u.Cell])
 	if cost < 1 {
 		cost = 1
 	}
-	return best, u, n, float64(n) * float64(cost) / best.weight
+	return best, u, float64(cost) / best.weight
 }
 
 // remove drops j from the dispatchable set. Called with p.mu held.
@@ -458,7 +415,7 @@ func (p *Pool) remove(j *Job) {
 func (p *Pool) worker(id int) {
 	p.mu.Lock()
 	for {
-		j, u, n, quantum := p.pick()
+		j, u, quantum := p.pick()
 		if j == nil {
 			if p.closed {
 				p.mu.Unlock()
@@ -467,9 +424,8 @@ func (p *Pool) worker(id int) {
 			p.cond.Wait()
 			continue
 		}
-		j.slots++
-		j.inflight += n
-		p.running += n
+		j.inflight++
+		p.running++
 		j.served += quantum
 		if j.head >= len(j.queue) {
 			// Nothing left to dispatch; stop offering the job.
@@ -488,39 +444,18 @@ func (p *Pool) worker(id int) {
 			}
 			m.WorkersBusy.Inc()
 		}
-		ran := 1
-		if n == 1 {
-			j.spec.Run(id, u)
-		} else {
-			ran = j.spec.RunBatch(id, u.Cell)
-			if ran < 0 || ran > n {
-				panic(fmt.Sprintf("dispatch: RunBatch reported %d executed repeats for a claim of %d", ran, n))
-			}
-		}
+		j.spec.Run(id, u)
 		if m != nil {
-			elapsed := time.Since(start).Seconds()
-			if n == 1 {
-				m.ClaimsScalar.Inc()
-				m.ServiceScalar.Observe(elapsed)
-			} else {
-				m.ClaimsBatch.Inc()
-				m.ServiceBatch.Observe(elapsed)
-			}
-			m.UnitsDone.Add(int64(ran))
-			if ran < n {
-				m.UnitsDropped.Add(int64(n - ran))
-			}
+			m.Claims.Inc()
+			m.Service.Observe(time.Since(start).Seconds())
+			m.UnitsDone.Inc()
 			m.WorkersBusy.Dec()
 		}
 
 		p.mu.Lock()
-		// A batched claim completes all of the cell's repeats at once; a
-		// scalar unit contributes one. Either way the cell notification
-		// fires exactly when the count reaches Repeats — an aborted
-		// claim (ran < n) leaves the cell short, so it never fires.
-		j.cellDone[u.Cell] += ran
+		j.cellDone[u.Cell]++
 		if j.cellDone[u.Cell] == j.spec.Repeats && j.spec.OnCellDone != nil {
-			// The claim still counts as in flight during OnCellDone, so
+			// The unit still counts as in flight during OnCellDone, so
 			// the job cannot be observed finished — and Wait cannot
 			// return — while a cell notification is still being
 			// delivered.
@@ -528,11 +463,9 @@ func (p *Pool) worker(id int) {
 			j.spec.OnCellDone(u.Cell)
 			p.mu.Lock()
 		}
-		j.slots--
-		j.inflight -= n
-		p.running -= n
-		j.done += ran
-		j.dropped += n - ran
+		j.inflight--
+		p.running--
+		j.done++
 		finished := j.inflight == 0 && j.head >= len(j.queue) && !j.completed
 		if finished {
 			j.completed = true

@@ -21,15 +21,12 @@ type Metrics struct {
 	// job's runtime so far, which is exactly the latency a unit
 	// experienced since the client submitted.
 	QueueWait *obs.Histogram
-	// ServiceScalar/ServiceBatch observe claim execution time by claim
-	// kind (a batched claim runs a whole cell's repeats as one claim).
-	ServiceScalar *obs.Histogram
-	ServiceBatch  *obs.Histogram
-	// ClaimsScalar/ClaimsBatch count dispatched claims by kind.
-	ClaimsScalar *obs.Counter
-	ClaimsBatch  *obs.Counter
+	// Service observes claim execution time; Claims counts dispatched
+	// claims. A claim is one ⟨cell, repeat⟩ unit.
+	Service *obs.Histogram
+	Claims  *obs.Counter
 	// UnitsDone counts executed units; UnitsDropped counts units
-	// discarded before execution (Cancel dequeues, aborted batch tails).
+	// discarded before execution by Cancel.
 	UnitsDone    *obs.Counter
 	UnitsDropped *obs.Counter
 	// WorkersBusy is the number of workers executing a claim right now.
@@ -40,17 +37,18 @@ type Metrics struct {
 // pool's occupancy gauges (workers, active jobs, queued and in-flight
 // units) as scrape-time functions over p.
 func NewMetrics(r *obs.Registry, p *Pool) *Metrics {
+	// Every claim is one run unit; the claim="scalar" label stays so
+	// scrapers that select on it keep reading the series.
+	claim := map[string]string{"claim": "scalar"}
 	m := &Metrics{
-		Admitted:      r.NewCounter("joss_dispatch_jobs_admitted_total", "Jobs admitted into the dispatch pool.", nil),
-		Rejected:      r.NewCounter("joss_dispatch_jobs_rejected_total", "Job admissions rejected by overload limits.", nil),
-		QueueWait:     r.NewHistogram("joss_dispatch_queue_wait_seconds", "Per-claim wait from job admission to dispatch.", nil, nil),
-		ServiceScalar: r.NewHistogram("joss_dispatch_service_seconds", "Claim execution time.", map[string]string{"claim": "scalar"}, nil),
-		ServiceBatch:  r.NewHistogram("joss_dispatch_service_seconds", "Claim execution time.", map[string]string{"claim": "batch"}, nil),
-		ClaimsScalar:  r.NewCounter("joss_dispatch_claims_total", "Dispatched claims by kind.", map[string]string{"claim": "scalar"}),
-		ClaimsBatch:   r.NewCounter("joss_dispatch_claims_total", "Dispatched claims by kind.", map[string]string{"claim": "batch"}),
-		UnitsDone:     r.NewCounter("joss_dispatch_units_done_total", "Units executed to completion.", nil),
-		UnitsDropped:  r.NewCounter("joss_dispatch_units_dropped_total", "Units dropped before execution (cancel dequeues, aborted batch tails).", nil),
-		WorkersBusy:   r.NewGauge("joss_dispatch_workers_busy", "Workers executing a claim right now.", nil),
+		Admitted:     r.NewCounter("joss_dispatch_jobs_admitted_total", "Jobs admitted into the dispatch pool.", nil),
+		Rejected:     r.NewCounter("joss_dispatch_jobs_rejected_total", "Job admissions rejected by overload limits.", nil),
+		QueueWait:    r.NewHistogram("joss_dispatch_queue_wait_seconds", "Per-claim wait from job admission to dispatch.", nil, nil),
+		Service:      r.NewHistogram("joss_dispatch_service_seconds", "Claim execution time.", claim, nil),
+		Claims:       r.NewCounter("joss_dispatch_claims_total", "Dispatched claims (one run unit each).", claim),
+		UnitsDone:    r.NewCounter("joss_dispatch_units_done_total", "Units executed to completion.", nil),
+		UnitsDropped: r.NewCounter("joss_dispatch_units_dropped_total", "Units dropped before execution (cancel dequeues).", nil),
+		WorkersBusy:  r.NewGauge("joss_dispatch_workers_busy", "Workers executing a claim right now.", nil),
 	}
 	r.NewGaugeFunc("joss_dispatch_workers", "Worker goroutines in the pool.", nil, func() float64 {
 		return float64(p.Workers())

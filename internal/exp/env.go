@@ -69,12 +69,6 @@ type Env struct {
 	// scale⟩, so sharing one cache across schedulers and figures is
 	// safe. LoadPlanStore / SavePlanStore persist it across processes.
 	Plans *sched.PlanCache
-	// NoBatch disables batched lockstep repeats for the Env's sweeps
-	// (service.SweepRequest.NoBatch). Batching only changes how the
-	// dispatcher hands a cell's repeats to workers — results are
-	// bit-identical either way — so it stays on by default; the flag
-	// exists for benchmarking the scalar path.
-	NoBatch bool
 	// SensorPeriodSec overrides the simulated INA3221's 5 ms sampling
 	// period for every run the Env executes (0 = paper default), and
 	// SensorOff removes the sensor entirely — reports then carry only
@@ -187,7 +181,6 @@ func (e *Env) sweep(jobs []sweepJob) map[string]map[string]taskrt.Report {
 		Repeats:         e.Repeats,
 		Parallel:        e.Parallel,
 		SharePlans:      e.SharePlans,
-		NoBatch:         e.NoBatch,
 		SensorPeriodSec: e.SensorPeriodSec,
 		SensorOff:       e.SensorOff,
 		Plans:           e.Plans,

@@ -30,6 +30,28 @@ func postJSON(t *testing.T, srv *httptest.Server, path string, v, out any) int {
 	return resp.StatusCode
 }
 
+// postRawField posts a raw JSON body, requires a 200, and returns the
+// undecoded bytes of one top-level field of the response.
+func postRawField(t *testing.T, srv *httptest.Server, path, body, field string) json.RawMessage {
+	t.Helper()
+	var out map[string]json.RawMessage
+	resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d", path, body, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("%s: decoding response: %v", path, err)
+	}
+	if len(out[field]) == 0 {
+		t.Fatalf("%s: response has no %q field", path, field)
+	}
+	return out[field]
+}
+
 // TestDaemonEndToEnd drives the full daemon path over HTTP: a /run
 // request trains (plan searches happen), a second identical request is
 // served entirely from the resident plans (zero searches), and /sweep
@@ -94,6 +116,23 @@ func TestDaemonEndToEnd(t *testing.T) {
 			if sres.Reports[wl][sn].Tasks == 0 {
 				t.Errorf("%s/%s missing from sweep response", wl, sn)
 			}
+		}
+	}
+
+	// Old clients still send the retired "batch" field; the decoder
+	// ignores it, so the served reports are the same bytes.
+	sweepBody, err := json.Marshal(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, body, field string }{
+		{"/run", `{"bench":"SLU","sched":"GRWS","scale":0.02,"share_plans":false`, "report"},
+		{"/sweep", string(sweepBody[:len(sweepBody)-1]), "reports"},
+	} {
+		plain := postRawField(t, srv, c.path, c.body+"}", c.field)
+		legacy := postRawField(t, srv, c.path, c.body+`,"batch":false}`, c.field)
+		if !bytes.Equal(plain, legacy) {
+			t.Errorf("%s with \"batch\":false served different %s:\n got %s\nwant %s", c.path, c.field, legacy, plain)
 		}
 	}
 

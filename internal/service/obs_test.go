@@ -64,6 +64,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE joss_dispatch_queue_wait_seconds histogram",
 		"joss_dispatch_jobs_admitted_total",
 		"joss_dispatch_units_done_total",
+		`joss_dispatch_claims_total{claim="scalar"}`,
+		`joss_dispatch_service_seconds_count{claim="scalar"}`,
 		"# TYPE joss_service_job_service_seconds histogram",
 		"joss_service_jobs_completed_total",
 		"joss_service_plan_evals_total",
@@ -76,6 +78,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics output missing %q", want)
 		}
+	}
+	// Every claim is one run unit, so no series is labelled batch.
+	if strings.Contains(body, `claim="batch"`) {
+		t.Error(`/metrics output still carries claim="batch" series`)
 	}
 
 	// The JSON twin parses back into the same series set.

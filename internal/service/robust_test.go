@@ -106,6 +106,71 @@ func TestSessionOverloadStormByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSessionProbeStormByteIdentical is a contention differential:
+// while a multi-cell sweep drains, a storm of 1-unit probes keeps the
+// dispatcher contended, so the sweep's units interleave with probe
+// units across workers and rebuild their cells' graphs mid-flight. The
+// merged sweep report must stay byte-identical to an uncontended run,
+// and the probes must keep overtaking (each returns the same report as
+// on a quiet session).
+func TestSessionProbeStormByteIdentical(t *testing.T) {
+	sweepReq := func(s *Session) SweepRequest {
+		return SweepRequest{
+			Jobs:     jobsFor(s, []string{"HT_Small", "HT_Big", "MM_512_dop16", "ST_2048_dop16"}, []string{"GRWS", "JOSS"}),
+			Scale:    0.02,
+			Seed:     1,
+			Repeats:  3,
+			Parallel: 2,
+		}
+	}
+	probeReq := func(s *Session) SweepRequest {
+		return SweepRequest{
+			Jobs:     jobsFor(s, []string{"SLU"}, []string{"GRWS"}),
+			Scale:    0.02,
+			Seed:     1,
+			Parallel: 1,
+		}
+	}
+
+	quiet := newTestSession(t)
+	wantSweep := mustSubmit(t, quiet, sweepReq(quiet))
+	wantProbe := mustSubmit(t, quiet, probeReq(quiet))
+
+	s := newTestSession(t)
+	h := mustEnqueue(t, s, sweepReq(s))
+	probes := 0
+	for {
+		select {
+		case <-h.Done():
+		default:
+			probe := mustSubmit(t, s, probeReq(s))
+			probes++
+			if !reflect.DeepEqual(probe.Reports, wantProbe.Reports) {
+				t.Fatalf("probe %d diverged under the sweep:\n got %+v\nwant %+v",
+					probes, probe.Reports, wantProbe.Reports)
+			}
+			continue
+		}
+		break
+	}
+	res := h.Wait()
+	if probes == 0 {
+		t.Fatal("sweep finished before a single probe ran; the storm exercised nothing")
+	}
+	if res.Cancelled || res.UnitsDone != res.Units {
+		t.Fatalf("stormed sweep incomplete: %+v", res)
+	}
+	if !reflect.DeepEqual(res.Reports, wantSweep.Reports) {
+		t.Errorf("probe storm changed the sweep's reports:\n got %+v\nwant %+v",
+			res.Reports, wantSweep.Reports)
+	}
+	if res.PlanEvals != wantSweep.PlanEvals {
+		t.Errorf("probe storm changed the sweep's plan evals: %d vs %d",
+			res.PlanEvals, wantSweep.PlanEvals)
+	}
+	t.Logf("storm: %d probes interleaved with the sweep", probes)
+}
+
 // cancelTrigger wraps a scheduler and fires a callback after the n-th
 // task completion — from inside the running simulation, so a
 // cancellation deterministically lands while the unit is mid-run

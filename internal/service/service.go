@@ -451,18 +451,6 @@ type SweepRequest struct {
 	// run samples afresh and results are bit-reproducible regardless
 	// of request history and co-resident requests.
 	SharePlans bool
-	// NoBatch disables batched claims for this request. With batching
-	// on (the default — the zero value), the dispatcher may hand all
-	// Repeats of one cell to a single worker, which runs them as lanes
-	// of one runtime (taskrt.RunBatch): one DAG build, one warm oracle
-	// memo and one Reset-recycled scheduler serve every repeat, instead
-	// of each repeat paying them on whichever worker it lands on.
-	// Batching is a density policy only — lane reports are bit-identical
-	// to scalar ⟨cell, repeat⟩ units, and the dispatcher falls back to
-	// scalar units under contention (so small probes still overtake)
-	// and near a request's tail (so the last cells' repeats spread over
-	// workers). The wire field is `batch` (null = true).
-	NoBatch bool
 	// SensorPeriodSec overrides the simulated INA3221's 5 ms sampling
 	// period (0 = paper default); SensorOff removes the sensor.
 	SensorPeriodSec float64
@@ -530,8 +518,7 @@ type SweepResult struct {
 	Cancelled bool
 	// Interrupted counts run units aborted mid-simulation by the
 	// cooperative cancel (Cancelled requests only; dropped queued
-	// units — including the never-started lanes of a cancelled
-	// batched claim — are counted in Units−UnitsDone instead).
+	// units are counted in Units−UnitsDone instead).
 	// Aborted units produce no report and their cells are absent
 	// from Reports.
 	Interrupted int
@@ -555,7 +542,6 @@ type worker struct {
 	lastJob  int64
 	lastCell int
 	scheds   map[string]taskrt.Scheduler
-	seeds    []int64 // recycled RunBatch seed buffer
 }
 
 // workerAt returns the state slot for a dispatch worker id, growing
@@ -743,62 +729,6 @@ func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Rep
 		return taskrt.Report{}, evals, true
 	}
 	return rep, evals, false
-}
-
-// runBatch is runUnit's batched sibling: it executes all Repeats of
-// one cell as lanes of the worker's runtime (taskrt.RunBatch), writing
-// each completed lane's report into out[repeat]. The cell's DAG is
-// built once, the worker's warm oracle memo serves every lane, and the
-// cell's scheduler is recycled across lanes through schedulerFor's
-// reset contracts — exactly the per-repeat costs the scalar path pays
-// per ⟨worker, cell⟩ encounter. Lane reports are bit-identical to the
-// scalar path's because each lane performs the same Reset+Run sequence
-// under the same seed. Returns the lanes completed (fewer than Repeats
-// only when the job's cancel flag interrupted the batch) and the
-// plan-search evaluations performed across all lanes.
-func (s *Session) runBatch(w *worker, h *JobHandle, cell int, out []taskrt.Report) (int, int) {
-	req := &h.req
-	j := req.Jobs[cell]
-	if w.g == nil || w.lastJob != h.seq || w.lastCell != cell {
-		w.g = j.Workload.BuildReuse(w.g, req.Scale)
-		w.lastJob, w.lastCell = h.seq, cell
-	}
-	opt := runOptions(req, req.Seed)
-	opt.Cancel = &h.cancel
-	if w.rt == nil {
-		w.rt = taskrt.New(s.oracle, nil, opt)
-	} else {
-		w.rt.Opt = opt
-	}
-	if cap(w.seeds) < req.Repeats {
-		w.seeds = make([]int64, req.Repeats)
-	}
-	seeds := w.seeds[:req.Repeats]
-	for r := range seeds {
-		seeds[r] = req.Seed + int64(r)
-	}
-	// schedulerFor resets the recycled scheduler (clearing TotalEvals),
-	// so the previous lane's evaluations are read just before each
-	// handoff and once more after the last lane.
-	evals := 0
-	var cur taskrt.Scheduler
-	next := func(lane int) taskrt.Scheduler {
-		if lane > 0 {
-			// Lanes [0, lane) are complete; publish the in-flight
-			// progress the dispatcher cannot see until the claim returns.
-			h.laneDone[cell].Store(int32(lane))
-		}
-		if ms, ok := cur.(*sched.ModelSched); ok {
-			evals += ms.TotalEvals
-		}
-		cur = s.schedulerFor(w, j, req, h.plans)
-		return cur
-	}
-	done := w.rt.RunBatch(w.g, seeds, next, out)
-	if ms, ok := cur.(*sched.ModelSched); ok {
-		evals += ms.TotalEvals
-	}
-	return done, evals
 }
 
 // Submit executes one sweep request and returns the per-cell mean

@@ -246,8 +246,7 @@ func (e *Engine) Reset() {
 // unchanged). Both count as exactly one processed step — one pop, one
 // event — so Processed is a pure function of the schedule/cancel
 // sequence the simulation produced, never of which loop (Run,
-// RunLimit, RunUntil) happened to drain the queue. That is what makes
-// event counts comparable between scalar runs and RunBatch lanes.
+// RunLimit, RunUntil) happened to drain the queue.
 func (e *Engine) Step() bool {
 	ev := e.pop()
 	if ev == nil {

@@ -156,11 +156,7 @@ type Stats struct {
 	TasksByType [platform.NumCoreTypes]int
 	// Events is the number of simulation events the engine processed
 	// over the whole run (trailing scheduler timers included), captured
-	// from sim.Engine.Processed when the event loop drains. One
-	// lane-step is one event: a seeded run reports the same count
-	// whether it executed as a scalar ⟨cell, repeat⟩ unit or as a lane
-	// of RunBatch — the comparability contract the batched differential
-	// tests assert.
+	// from sim.Engine.Processed when the event loop drains.
 	Events int
 	// Kernels counts task executions per kernel per core type, in
 	// graph kernel order (kernels that executed no task are omitted).
@@ -385,9 +381,9 @@ type Runtime struct {
 	// Task.ID): the unfinished-predecessor counters and pending
 	// scheduler decisions of the current execution. Keeping them here —
 	// not on dag.Task — leaves the graph immutable during execution, so
-	// one built DAG serves any number of lanes (RunBatch) or repeated
-	// runs without per-run Graph.ResetRuntimeState walks: starting a
-	// lane is one memcpy of the graph's cached base counters.
+	// one built DAG serves any number of repeated runs without per-run
+	// Graph.ResetRuntimeState walks: starting a run is one memcpy of the
+	// graph's cached base counters.
 	npred []int32
 	decs  []*Decision
 
@@ -605,7 +601,7 @@ func (rt *Runtime) newSlab() *demandCache {
 // Execution never mutates g: per-run predecessor counters and pending
 // decisions live in the runtime's own task-state lane, seeded from the
 // graph's cached base state, so the same built graph can back any
-// number of runs (or RunBatch lanes) concurrently across runtimes.
+// number of runs concurrently across runtimes.
 func (rt *Runtime) Run(g *dag.Graph) Report {
 	if rt.finished {
 		panic("taskrt: Runtime has finished a run; call Reset before reusing it")

@@ -81,18 +81,15 @@ func hdInto(reuse *dag.Graph, size HDSize, scale float64) *dag.Graph {
 	// Each iteration: Jacobi over all blocks (each reads its block
 	// and the neighbours from the previous Copy), then Copy back.
 	var prevCopy [blocks]*dag.Task
+	var nb [3]*dag.Task
 	for it := 0; it < iters; it++ {
 		var jrow [blocks]*dag.Task
 		for b := 0; b < blocks; b++ {
-			var preds []*dag.Task
-			if it > 0 {
-				for _, nb := range []int{b - 1, b, b + 1} {
-					if nb >= 0 && nb < blocks {
-						preds = append(preds, prevCopy[nb])
-					}
-				}
+			if it == 0 {
+				jrow[b] = g.AddTask(jac)
+			} else {
+				jrow[b] = g.AddTask(jac, stencil3(&nb, prevCopy[:], b)...)
 			}
-			jrow[b] = g.AddTask(jac, preds...)
 		}
 		for b := 0; b < blocks; b++ {
 			prevCopy[b] = g.AddTask(cp, jrow[b])
@@ -306,22 +303,26 @@ func alInto(reuse *dag.Graph, scale float64) *dag.Graph {
 		RowHit:   0.35,
 	})
 	var prev [parts]*dag.Task
+	var nb [3]*dag.Task
 	for it := 0; it < iters; it++ {
 		var cur [parts]*dag.Task
 		for p := 0; p < parts; p++ {
-			var preds []*dag.Task
-			if it > 0 {
-				for _, np := range []int{p - 1, p, p + 1} {
-					if np >= 0 && np < parts {
-						preds = append(preds, prev[np])
-					}
-				}
+			if it == 0 {
+				cur[p] = g.AddTask(spmv)
+			} else {
+				cur[p] = g.AddTask(spmv, stencil3(&nb, prev[:], p)...)
 			}
-			cur[p] = g.AddTask(spmv, preds...)
 		}
 		prev = cur
 	}
 	return g
+}
+
+// stencil3 returns the 3-point neighbour stencil row[i-1], row[i],
+// row[i+1] (the in-range ones, in that order) as a slice of the
+// caller-owned buf, so wiring a stencil iteration allocates nothing.
+func stencil3(buf *[3]*dag.Task, row []*dag.Task, i int) []*dag.Task {
+	return append(buf[:0], row[max(i-1, 0):min(i+2, len(row))]...)
 }
 
 // SLU builds Sparse LU factorisation over an N×N block matrix with the

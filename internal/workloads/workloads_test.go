@@ -141,3 +141,22 @@ func TestTable1Rows(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmBuildAllocsBounded pins the recycling contract the serving
+// path relies on: a worker rebuilds a cell's graph into its warm
+// arenas whenever it switches cells, so a warm BuildReuse must cost a
+// bounded handful of allocations, not one per task or edge.
+func TestWarmBuildAllocsBounded(t *testing.T) {
+	const scale, maxAllocs = 0.05, 64
+	for _, cfg := range Fig8Configs() {
+		g := cfg.BuildReuse(nil, scale)
+		// AllocsPerRun's warm-up call is the second build; the measured
+		// one is the third.
+		allocs := testing.AllocsPerRun(1, func() {
+			g = cfg.BuildReuse(g, scale)
+		})
+		if allocs > maxAllocs {
+			t.Errorf("%s: warm BuildReuse made %.0f allocations, want <= %d", cfg.Name, allocs, maxAllocs)
+		}
+	}
+}
