@@ -36,7 +36,8 @@ test:
 # kill, drain spillover, 429 storm, ring-slice warm-up) and the metrics
 # registry storm (concurrent updates racing a scraper) — the tests most
 # sensitive to timing, so they get extra iterations beyond the single
-# tier-1 pass.
+# tier-1 pass. It ends with a short coverage-guided fuzz pass over each
+# wire decoder (tier-1 replays only their committed seed corpora).
 chaos:
 	$(GO) test -race -count=3 \
 		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm' \
@@ -47,6 +48,8 @@ chaos:
 		-run 'TestFleetSIGKILLDrill|TestFleetShardDeathFailover|TestFleetDrainSpillover|TestFleet429Spillover|TestFleetAllShardsDownDegradedError|TestFleetWarmupDrill|TestFleetHealthPassthroughAndMetrics' \
 		./internal/fleet
 	$(GO) test -race -count=3 -run 'TestRegistryStorm' ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildSweepRequest$$' -fuzztime=10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildTrainRequest$$' -fuzztime=10s ./internal/service
 
 # bench runs the perf-tracking benchmarks with allocation stats.
 bench:

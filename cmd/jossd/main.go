@@ -11,6 +11,14 @@
 // over one worker pool — a small probe posted behind a long sweep
 // returns without waiting for it.
 //
+// -parallel is the number of simulation workers (0 = GOMAXPROCS at
+// start-up). The daemon then sets GOMAXPROCS to workers + 1: the
+// workers are CPU-bound and never yield while units are queued, so
+// without a spare processor the network poller, a fresh connection and
+// a handler readied by a finished unit each wait for the Go runtime's
+// 10 ms forced preemption. The spare P keeps the serving path off that
+// clock. Wire requests cannot raise the pool above -parallel.
+//
 // Usage:
 //
 //	jossd [-listen ADDR] [-socket PATH] [-parallel N]
@@ -81,6 +89,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -93,7 +102,8 @@ import (
 func main() {
 	listen := flag.String("listen", ":7767", "TCP address to serve HTTP on")
 	socket := flag.String("socket", "", "unix socket path to serve HTTP on instead of TCP")
-	parallel := flag.Int("parallel", 0, "default sweep workers per request (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0,
+		"simulation workers, also the per-request bound (0 = GOMAXPROCS); GOMAXPROCS is then set to workers + 1")
 	planStore := flag.String("planstore", "",
 		"persistent plan store shared with other jossd/jossbench/jossrun processes: loaded at startup, flushed lock-and-merge after requests")
 	saveEvery := flag.Int("saveevery", 1, "flush the plan store every N requests")
@@ -139,7 +149,9 @@ func main() {
 		log.Error("startup failed", "err", err)
 		os.Exit(1)
 	}
-	cfg.Parallel = *parallel
+	workers, procs := reserveServingP(*parallel, runtime.GOMAXPROCS(0))
+	cfg.Parallel = workers
+	runtime.GOMAXPROCS(procs)
 	cfg.PlanStorePath = *planStore
 	cfg.SaveEvery = *saveEvery
 	cfg.RetainJobs = *retainJobs
@@ -259,6 +271,18 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
+}
+
+// reserveServingP fixes the simulation worker count — parallel, or
+// procs (the start-up GOMAXPROCS) when parallel is 0 — and returns it
+// with the GOMAXPROCS the daemon should run at: one more, so a
+// processor is always free for the serving path's I/O goroutines.
+func reserveServingP(parallel, procs int) (workers, gomaxprocs int) {
+	workers = parallel
+	if workers == 0 {
+		workers = procs
+	}
+	return workers, workers + 1
 }
 
 // newLogger builds the process logger from the -loglevel/-logformat

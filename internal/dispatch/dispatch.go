@@ -27,6 +27,11 @@
 // reordering and interleaving never change results, which is what
 // keeps concurrent submission bit-identical to serial submission.
 //
+// Workers are CPU-bound and never yield between claims while units are
+// queued, so a serving process must leave a Go processor (P) beyond
+// its workers for its I/O goroutines, which would otherwise wait out
+// the runtime's 10 ms forced preemption (cmd/jossd runs workers + 1).
+//
 // Cancellation is cooperative and unit-granular: Cancel drops a job's
 // queued units; in-flight units run to completion (a simulation step
 // is not interruptible) and the job finishes once they drain. Callers

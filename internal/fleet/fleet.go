@@ -116,15 +116,17 @@ type ShardHealth struct {
 	// Warmup() caller can watch them converge across the fleet.
 	PlansTrained int `json:"plans_trained"`
 	Training     int `json:"training"`
-	// UptimeSec, Workers, Version and Commit pass through the shard's
-	// build and capacity identity from /healthz — a fleet operator can
-	// spot a freshly restarted shard (uptime reset), a misconfigured
-	// one (wrong worker count) or a stray dev binary (version "dev")
-	// from one Health() snapshot.
-	UptimeSec float64 `json:"uptime_sec"`
-	Workers   int     `json:"workers"`
-	Version   string  `json:"version,omitempty"`
-	Commit    string  `json:"commit,omitempty"`
+	// UptimeSec, Workers, GOMAXPROCS, Version and Commit pass through
+	// the shard's build and capacity identity from /healthz — a fleet
+	// operator can spot a freshly restarted shard (uptime reset), a
+	// misconfigured one (wrong worker count, or no processor left free
+	// for serving: GOMAXPROCS <= Workers) or a stray dev binary
+	// (version "dev") from one Health() snapshot.
+	UptimeSec  float64 `json:"uptime_sec"`
+	Workers    int     `json:"workers"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Version    string  `json:"version,omitempty"`
+	Commit     string  `json:"commit,omitempty"`
 }
 
 // ShardFailure is one shard's failure within a sweep.
@@ -191,6 +193,7 @@ type shard struct {
 	training int // in-flight training claims from the last beat
 	uptime   float64
 	workers  int
+	procs    int
 	version  string
 	commit   string
 }
@@ -235,6 +238,7 @@ type wireHealth struct {
 	Training      int     `json:"training"`
 	UptimeSec     float64 `json:"uptime_sec"`
 	Workers       int     `json:"workers"`
+	GOMAXPROCS    int     `json:"gomaxprocs"`
 	Version       string  `json:"version"`
 	Commit        string  `json:"commit"`
 }
@@ -252,6 +256,7 @@ func (sh *shard) noteBeat(h wireHealth) {
 	sh.training = h.Training
 	sh.uptime = h.UptimeSec
 	sh.workers = h.Workers
+	sh.procs = h.GOMAXPROCS
 	sh.version = h.Version
 	sh.commit = h.Commit
 }
@@ -270,6 +275,7 @@ func (sh *shard) snapshot() ShardHealth {
 		Training:            sh.training,
 		UptimeSec:           sh.uptime,
 		Workers:             sh.workers,
+		GOMAXPROCS:          sh.procs,
 		Version:             sh.version,
 		Commit:              sh.commit,
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 
 // TestFleetHealthPassthroughAndMetrics pins the coordinator's
 // observability surface: heartbeats pass the shard's /healthz build
-// and capacity identity (uptime, workers, version) through to
+// and capacity identity (uptime, workers, GOMAXPROCS, version) through to
 // Health(), successful probes land in the per-shard RTT histogram, a
 // dead shard's probes land in its failure counter, and a finished
 // sweep is tallied in joss_fleet_sweeps_total.
@@ -42,6 +43,9 @@ func TestFleetHealthPassthroughAndMetrics(t *testing.T) {
 	}
 	if live.UptimeSec <= 0 {
 		t.Errorf("uptime_sec = %v, want > 0", live.UptimeSec)
+	}
+	if want := runtime.GOMAXPROCS(0); live.GOMAXPROCS != want {
+		t.Errorf("gomaxprocs = %d, want the shard process's %d", live.GOMAXPROCS, want)
 	}
 
 	res, deg, err := c.Sweep(testRequest())

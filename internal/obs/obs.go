@@ -8,6 +8,10 @@
 // snapshot taken while writers storm the registry still sees a
 // consistent monotone view of each series.
 //
+// Runtime-sourced histograms (NewRuntimeHistogram) keep no state of
+// their own: a scrape reads the Go runtime's distribution and
+// re-buckets it onto fixed bounds.
+//
 // The exposition side lives in prom.go: WritePrometheus emits the
 // Prometheus text format (version 0.0.4) and WriteJSON a structured
 // snapshot for programmatic consumers (the fleet client aggregates
@@ -17,6 +21,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,6 +155,18 @@ type series struct {
 	gauge  *Gauge
 	gfn    func() float64
 	hist   *Histogram
+	rt     *runtimeHistogram
+}
+
+// histData returns a histogram series' bounds, per-bucket counts (the
+// final entry the +Inf bucket) and sum, read at call time.
+func (s *series) histData() (bounds []float64, counts []int64, sum float64) {
+	if s.rt != nil {
+		counts, sum = s.rt.read()
+		return s.rt.bounds, counts, sum
+	}
+	bounds, counts = s.hist.Buckets()
+	return bounds, counts, s.hist.Sum()
 }
 
 // family groups all series that share a metric name (and therefore a
@@ -257,6 +274,15 @@ func (r *Registry) NewGaugeFunc(name, help string, labels map[string]string, fn 
 	r.register(name, help, kindGaugeFunc, &series{labels: renderLabels(labels), lmap: labels, gfn: fn})
 }
 
+// checkBounds panics unless bounds ascend strictly.
+func checkBounds(name string, bounds []float64) {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("obs: histogram %q bounds not ascending at %d", name, i))
+		}
+	}
+}
+
 // NewHistogram registers and returns a histogram series with the given
 // ascending upper bounds (nil means DefBuckets). The bounds slice is
 // copied.
@@ -264,15 +290,76 @@ func (r *Registry) NewHistogram(name, help string, labels map[string]string, bou
 	if bounds == nil {
 		bounds = DefBuckets
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending at %d", name, i))
-		}
-	}
+	checkBounds(name, bounds)
 	h := &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
 	r.register(name, help, kindHistogram, &series{labels: renderLabels(labels), lmap: labels, hist: h})
 	return h
+}
+
+// runtimeHistogram is a histogram series backed by a runtime/metrics
+// Float64Histogram sample.
+type runtimeHistogram struct {
+	sample string
+	bounds []float64
+}
+
+// NewRuntimeHistogram registers a histogram series that reads the
+// runtime/metrics Float64Histogram named sample (for example
+// "/sched/latencies:seconds") at scrape time and re-buckets it onto the
+// given ascending bounds. Nothing is recorded between scrapes, and the
+// runtime's own counts are cumulative since process start, so the
+// series is as monotone as any other histogram. Panics if the runtime
+// does not export sample as a Float64Histogram — a wiring bug.
+func (r *Registry) NewRuntimeHistogram(name, help, sample string, bounds []float64) {
+	checkBounds(name, bounds)
+	found := false
+	for _, d := range metrics.All() {
+		found = found || d.Name == sample && d.Kind == metrics.KindFloat64Histogram
+	}
+	if !found {
+		panic(fmt.Sprintf("obs: runtime metric %q is not a Float64Histogram", sample))
+	}
+	rt := &runtimeHistogram{sample: sample, bounds: append([]float64(nil), bounds...)}
+	r.register(name, help, kindHistogram, &series{rt: rt})
+}
+
+// read samples the runtime histogram and re-buckets it.
+func (h *runtimeHistogram) read() (counts []int64, sum float64) {
+	smp := []metrics.Sample{{Name: h.sample}}
+	metrics.Read(smp)
+	return rebucket(smp[0].Value.Float64Histogram(), h.bounds)
+}
+
+// rebucket folds a runtime histogram onto fixed upper bounds. Each
+// source bucket [lo, hi) lands whole in the first fixed bucket whose
+// upper edge is at least hi, so a source bucket straddling a fixed
+// edge is counted above it: latency is never under-reported. The
+// runtime keeps no sum; it is estimated from bucket midpoints (the
+// finite edge for an unbounded bucket), which the runtime's narrow
+// sub-buckets keep within a few percent.
+func rebucket(src *metrics.Float64Histogram, bounds []float64) (counts []int64, sum float64) {
+	counts = make([]int64, len(bounds)+1)
+	j := 0
+	for i, c := range src.Counts {
+		if c == 0 {
+			continue
+		}
+		lo, hi := src.Buckets[i], src.Buckets[i+1]
+		for j < len(bounds) && hi > bounds[j] {
+			j++
+		}
+		counts[j] += int64(c)
+		mid := lo/2 + hi/2
+		switch {
+		case math.IsInf(lo, -1):
+			mid = hi
+		case math.IsInf(hi, 1):
+			mid = lo
+		}
+		sum += float64(c) * mid
+	}
+	return counts, sum
 }

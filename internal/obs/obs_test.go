@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +156,59 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
+}
+
+// TestRebucket pins how a runtime histogram folds onto fixed bounds:
+// each source bucket lands whole in the first fixed bucket whose upper
+// edge holds the source's upper edge, and the sum is the midpoint
+// estimate with unbounded buckets taken at their finite edge.
+func TestRebucket(t *testing.T) {
+	src := &metrics.Float64Histogram{
+		Buckets: []float64{math.Inf(-1), 0, 1e-6, 2e-6, 1e-3, 2e-2, math.Inf(1)},
+		Counts:  []uint64{1, 5, 1, 2, 3, 4},
+	}
+	counts, sum := rebucket(src, []float64{1e-6, 1e-3, 0.01})
+	if want := []int64{6, 3, 0, 7}; !reflect.DeepEqual(counts, want) {
+		t.Errorf("counts = %v, want %v", counts, want)
+	}
+	want := 1*0.0 + 5*0.5e-6 + 1*1.5e-6 + 2*(1e-3+2e-6)/2 + 3*(1e-3+2e-2)/2 + 4*2e-2
+	if math.Abs(sum-want) > 1e-15 {
+		t.Errorf("sum = %g, want %g", sum, want)
+	}
+}
+
+// TestRuntimeHistogram reads the scheduler-latency histogram through a
+// registry: it exposes as a histogram on the given bounds, counts are
+// non-decreasing across scrapes, and an unknown sample panics at
+// registration.
+func TestRuntimeHistogram(t *testing.T) {
+	r := NewRegistry()
+	r.NewRuntimeHistogram("go_sched_seconds", "Scheduler latency.", "/sched/latencies:seconds", []float64{1e-6, 1e-3})
+	first := r.Snapshot()[0]
+	if first.Type != "histogram" || len(first.Buckets) != 3 || first.Value < 1 {
+		t.Fatalf("runtime histogram point = %+v, want 3 buckets and >= 1 observation", first)
+	}
+	second := r.Snapshot()[0]
+	for i := range first.Buckets {
+		if second.Buckets[i].Count < first.Buckets[i].Count {
+			t.Errorf("bucket %d went backwards: %d -> %d", i, first.Buckets[i].Count, second.Buckets[i].Count)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE go_sched_seconds histogram\n", `go_sched_seconds_bucket{le="0.001"} `, "go_sched_seconds_count "} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+	mustPanic(t, "unknown runtime sample", func() {
+		r.NewRuntimeHistogram("nope_seconds", "", "/no/such:seconds", nil)
+	})
+	mustPanic(t, "non-histogram runtime sample", func() {
+		r.NewRuntimeHistogram("goroutines", "", "/sched/goroutines:goroutines", nil)
+	})
 }
 
 // TestJSONRoundTrip checks WriteJSON output parses back with ParseJSON

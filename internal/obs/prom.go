@@ -68,17 +68,17 @@ func writeSample(bw *bufio.Writer, name, labels, extra string, v float64) {
 // count. Bucket counts are read once so the cumulative sums and the
 // final count agree even while writers are active.
 func writeHistogram(bw *bufio.Writer, name string, s *series) {
-	h := s.hist
+	bounds, counts, sum := s.histData()
 	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
+	for i, c := range counts {
+		cum += c
 		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatValue(h.bounds[i])
+		if i < len(bounds) {
+			le = formatValue(bounds[i])
 		}
 		writeSample(bw, name+"_bucket", s.labels, `le="`+le+`"`, float64(cum))
 	}
-	writeSample(bw, name+"_sum", s.labels, "", h.Sum())
+	writeSample(bw, name+"_sum", s.labels, "", sum)
 	writeSample(bw, name+"_count", s.labels, "", float64(cum))
 }
 
@@ -116,19 +116,19 @@ func (r *Registry) Snapshot() []Point {
 			case kindGaugeFunc:
 				p.Value = s.gfn()
 			case kindHistogram:
-				h := s.hist
+				bounds, counts, sum := s.histData()
 				var cum int64
-				for i := range h.counts {
-					cum += h.counts[i].Load()
+				for i, c := range counts {
+					cum += c
 					var le *float64
-					if i < len(h.bounds) {
-						v := h.bounds[i]
+					if i < len(bounds) {
+						v := bounds[i]
 						le = &v
 					}
 					p.Buckets = append(p.Buckets, BucketPoint{LE: le, Count: cum})
 				}
 				p.Value = float64(cum)
-				p.Sum = h.Sum()
+				p.Sum = sum
 			}
 			pts = append(pts, p)
 		}

@@ -44,16 +44,20 @@
 //	GET  /healthz  → {plans_cached, plans_trained, training, requests,
 //	               jobs, queued_units, inflight_units, draining,
 //	               schedulers, benchmarks, uptime_sec, workers,
-//	               version, commit} — jobs/queued_units/inflight_units
-//	               are the live dispatch load, which fleet
+//	               gomaxprocs, version, commit} —
+//	               jobs/queued_units/inflight_units are the live
+//	               dispatch load, which fleet
 //	               coordinators use to route toward the least-loaded
 //	               shard; plans_trained/training expose the plan
 //	               cache's size and in-flight training claims so fleet
 //	               warm-up progress is observable; uptime/workers/
-//	               version identify the process (buildinfo ldflags)
+//	               version identify the process (buildinfo ldflags);
+//	               gomaxprocs next to workers shows whether a
+//	               processor is left free for serving
 //	GET  /metrics  → the session's metric registry in Prometheus text
 //	               exposition format (joss_dispatch_*, joss_service_*,
-//	               joss_http_*, joss_jobstore_* families);
+//	               joss_http_*, joss_jobstore_* families, and
+//	               joss_go_sched_latency_seconds from the Go runtime);
 //	               ?format=json returns the structured snapshot the
 //	               fleet client aggregates
 //	POST /run?trace=1
@@ -64,6 +68,10 @@
 // daemon exists to serve warm plans, and a second request for kernels
 // the session already trained then performs zero plan searches. Send
 // "share_plans": false for sample-every-run paper semantics.
+//
+// A wire "parallel" above the session's worker count (Parallel) is
+// clamped to it, so no request can grow the pool past the workers the
+// process was sized for; 0 means the session's count.
 //
 // Overload semantics: when the session runs with admission bounds and
 // a request would exceed them, sweep-admitting endpoints answer
@@ -79,6 +87,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -415,9 +424,9 @@ func (s *Session) wireTrainStatus(h *TrainHandle) WireTrainStatus {
 }
 
 // buildTrainRequest validates a wire training request against the
-// wire bounds and fills defaults. Benchmark/scheduler names resolve
-// inside EnqueueTrain.
-func buildTrainRequest(wr WireTrainRequest) (TrainRequest, error) {
+// wire bounds and fills defaults, clamping parallel to the session's
+// worker count. Benchmark/scheduler names resolve inside EnqueueTrain.
+func buildTrainRequest(wr WireTrainRequest, workers int) (TrainRequest, error) {
 	req := TrainRequest{
 		Benchmarks:      wr.Benchmarks,
 		Schedulers:      wr.Schedulers,
@@ -440,6 +449,7 @@ func buildTrainRequest(wr WireTrainRequest) (TrainRequest, error) {
 	if req.Parallel > maxWireParallel {
 		return TrainRequest{}, fmt.Errorf("parallel %d exceeds the wire limit %d", req.Parallel, maxWireParallel)
 	}
+	req.Parallel = wireParallel(req.Parallel, workers)
 	if req.Weight < 0 || req.Weight > maxWireWeight {
 		return TrainRequest{}, fmt.Errorf("weight %g outside [0, %d]", req.Weight, maxWireWeight)
 	}
@@ -470,6 +480,19 @@ const (
 	maxWireWeight   = 1000    // fair-share ratio, not a priority space
 	maxWireBodySize = 1 << 20 // decoded before validation, so bounded first
 )
+
+// wireParallel resolves a validated wire parallel field against the
+// session's worker count: 0 takes it, anything above it is clamped to
+// it. The pool grows to the widest admitted request and never shrinks,
+// so an unclamped request could leave more CPU-bound workers than the
+// process has Ps for. The clamp reorders work but never changes a
+// report: units are deterministic.
+func wireParallel(parallel, workers int) int {
+	if parallel == 0 || parallel > workers {
+		return workers
+	}
+	return parallel
+}
 
 // Retry-After values for the two refusal modes: overload clears as
 // soon as a co-resident job drains a few units; a drain means the
@@ -542,6 +565,7 @@ func (s *Session) buildRequest(wr WireSweepRequest) (SweepRequest, error) {
 	if req.Parallel > maxWireParallel {
 		return SweepRequest{}, fmt.Errorf("parallel %d exceeds the wire limit %d", req.Parallel, maxWireParallel)
 	}
+	req.Parallel = wireParallel(req.Parallel, s.parallel)
 	if nJobs := len(wls) * len(schedulers); nJobs > maxWireJobs {
 		return SweepRequest{}, fmt.Errorf("%d benchmarks × %d schedulers = %d cells exceeds the wire limit %d",
 			len(wls), len(schedulers), nJobs, maxWireJobs)
@@ -682,7 +706,7 @@ func NewHandler(s *Session) http.Handler {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
-		treq, err := buildTrainRequest(wr)
+		treq, err := buildTrainRequest(wr, s.Parallel())
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -919,6 +943,7 @@ func NewHandler(s *Session) http.Handler {
 			// fleet.ShardHealth.
 			"uptime_sec": s.Uptime().Seconds(),
 			"workers":    s.Workers(),
+			"gomaxprocs": runtime.GOMAXPROCS(0),
 			"version":    buildinfo.Version,
 			"commit":     buildinfo.Commit,
 		})

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -177,6 +178,48 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// session advertises zero load and no drain.
 	if health.Jobs != 0 || health.QueuedUnits != 0 || health.InflightUnits != 0 || health.Draining {
 		t.Errorf("healthz load = %+v, want idle undraining session", health)
+	}
+}
+
+// TestWireParallelClamped is the wire clamp's differential: on a
+// session sized for 2 workers, a /sweep and a /train asking for 64
+// are served without growing the pool past 2, and the clamped sweep's
+// reports are byte-identical to the same request at parallel 1.
+func TestWireParallelClamped(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Parallel = 2
+	sess, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	srv := httptest.NewServer(NewHandler(sess))
+	defer srv.Close()
+
+	// Training first, on an empty pool: its first round holds one cell
+	// per benchmark (their kernels are disjoint), 4 units wide.
+	var tres WireTrainResult
+	if code := postJSON(t, srv, "/train", WireTrainRequest{
+		Benchmarks: []string{"SLU", "VG", "DP", "MM_256_dop4"}, Schedulers: []string{"JOSS"},
+		Scale: 0.02, Parallel: 64,
+	}, &tres); code != http.StatusOK {
+		t.Fatalf("/train parallel 64: status %d", code)
+	}
+	if w := sess.Workers(); w > 2 {
+		t.Errorf("after /train parallel 64: Workers() = %d, want <= 2", w)
+	}
+
+	sweep := func(parallel int) string {
+		return fmt.Sprintf(`{"benchmarks":["SLU","VG"],"schedulers":["GRWS","JOSS"],`+
+			`"scale":0.02,"repeats":2,"share_plans":false,"parallel":%d}`, parallel)
+	}
+	wide := postRawField(t, srv, "/sweep", sweep(64), "reports")
+	if w := sess.Workers(); w > 2 {
+		t.Errorf("after /sweep parallel 64: Workers() = %d, want <= 2", w)
+	}
+	narrow := postRawField(t, srv, "/sweep", sweep(1), "reports")
+	if !bytes.Equal(wide, narrow) {
+		t.Errorf("/sweep at parallel 64 served different reports than at parallel 1:\n 64: %s\n  1: %s", wide, narrow)
 	}
 }
 

@@ -84,7 +84,19 @@ func newSessionMetrics(r *obs.Registry, s *Session) *sessionMetrics {
 	r.NewGaugeFunc("joss_service_uptime_seconds", "Seconds since the session was built.", nil, func() float64 {
 		return time.Since(s.epoch).Seconds()
 	})
+	r.NewRuntimeHistogram("joss_go_sched_latency_seconds",
+		"Go scheduler latency: time goroutines spent runnable before running (process-wide, runtime-sampled, read at scrape).",
+		"/sched/latencies:seconds", schedLatencyBuckets)
 	return m
+}
+
+// schedLatencyBuckets is the joss_go_sched_latency_seconds layout:
+// 1 µs to 1 s in 1-2.5-5 steps. A goroutine on an idle processor runs
+// within microseconds; one waiting out the runtime's 10 ms forced
+// preemption behind a CPU-bound worker lands in the 10-25 ms bucket.
+var schedLatencyBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
 }
 
 // endpointLabel folds a request path into its pre-registered label.

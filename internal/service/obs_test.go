@@ -74,6 +74,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`joss_http_requests_total{code="2xx",endpoint="/run"}`,
 		`joss_http_request_seconds_bucket{endpoint="/run",le="+Inf"}`,
 		"joss_service_uptime_seconds",
+		"# TYPE joss_go_sched_latency_seconds histogram",
+		`joss_go_sched_latency_seconds_bucket{le="0.01"}`,
+		`joss_go_sched_latency_seconds_bucket{le="+Inf"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics output missing %q", want)
@@ -106,6 +109,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if p, ok := byName["joss_service_job_service_seconds"]; !ok || p.Type != "histogram" || p.Value < 1 {
 		t.Errorf("json snapshot job_service histogram = %+v, want >= 1 observation", p)
+	}
+	// The scheduler histogram is read from the runtime at scrape time;
+	// every goroutine this test started went through it.
+	if p, ok := byName["joss_go_sched_latency_seconds"]; !ok || p.Type != "histogram" || p.Value < 1 || p.Sum <= 0 {
+		t.Errorf("json snapshot sched latency histogram = %+v, want >= 1 observation and a positive sum", p)
 	}
 }
 

@@ -324,7 +324,8 @@ func (s *Session) Set() *models.Set { return s.set }
 // Oracle returns the simulated platform oracle.
 func (s *Session) Oracle() *platform.Oracle { return s.oracle }
 
-// Parallel returns the session's default per-request worker bound.
+// Parallel returns the session's default per-request worker bound,
+// which is also the ceiling the HTTP layer clamps wire requests to.
 func (s *Session) Parallel() int { return s.parallel }
 
 // Requests returns the number of requests completed so far. It is
@@ -339,7 +340,8 @@ func (s *Session) Metrics() *obs.Registry { return s.registry }
 
 // Workers returns the pool's current worker-goroutine count (the pool
 // grows with admitted requests' Parallel, so this is a high-water
-// mark, not a configuration echo).
+// mark, not a configuration echo). Wire requests are clamped to
+// Parallel, so only in-process callers can raise it above Parallel.
 func (s *Session) Workers() int { return s.pool.Workers() }
 
 // Uptime reports the time since the session was built (New).

@@ -16,7 +16,7 @@ var (
 
 // testConfig trains one small shared configuration (the once-per-
 // platform offline stage) for every service test.
-func testConfig(t *testing.T) Config {
+func testConfig(t testing.TB) Config {
 	t.Helper()
 	cfgOnce.Do(func() {
 		cfg, err := DefaultConfig()
@@ -28,7 +28,7 @@ func testConfig(t *testing.T) Config {
 	return cfgG
 }
 
-func newTestSession(t *testing.T) *Session {
+func newTestSession(t testing.TB) *Session {
 	t.Helper()
 	s, err := New(testConfig(t))
 	if err != nil {
