@@ -32,15 +32,17 @@ test:
 # chaos repeats the failure-path suite under the race detector:
 # overload storms, mid-run cancellation, drain refusals, SIGKILL crash
 # recovery, journal replay, the train-vs-lazy differential with its
-# concurrent-train storm, the fleet fault drills (multi-daemon shard
-# kill, drain spillover, 429 storm, ring-slice warm-up) and the metrics
-# registry storm (concurrent updates racing a scraper) — the tests most
-# sensitive to timing, so they get extra iterations beyond the single
-# tier-1 pass. It ends with a short coverage-guided fuzz pass over each
-# wire decoder (tier-1 replays only their committed seed corpora).
+# concurrent-train storm, durable DELETE and journaled retention,
+# trainer rounds kept out of the job registry, the fleet fault drills
+# (multi-daemon shard kill, drain spillover, 429 storm, ring-slice
+# warm-up) and the metrics registry storm (concurrent updates racing a
+# scraper) — the tests most sensitive to timing, so they get extra
+# iterations beyond the single tier-1 pass. It ends with a short
+# coverage-guided fuzz pass over each wire decoder and over job-journal
+# replay (tier-1 replays only their committed seed corpora).
 chaos:
 	$(GO) test -race -count=3 \
-		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm' \
+		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestTrainRoundsStayInternal|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm' \
 		./internal/service
 	$(GO) test -race -count=3 ./internal/jobstore
 	$(GO) test -race -count=3 -run 'TestCancel' ./internal/taskrt
@@ -50,6 +52,7 @@ chaos:
 	$(GO) test -race -count=3 -run 'TestRegistryStorm' ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildSweepRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildTrainRequest$$' -fuzztime=10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime=10s ./internal/service
 
 # bench runs the perf-tracking benchmarks with allocation stats.
 bench:

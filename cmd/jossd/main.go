@@ -38,12 +38,16 @@
 //
 // -maxjobs/-maxqueue bound admission: excess requests get 429 Too Many
 // Requests with a Retry-After hint instead of queueing without bound.
-// -jobstore makes async jobs crash-durable: specs are journaled at
-// admission and results on completion, so after a crash or restart the
-// daemon still serves finished results byte-identically and reports
-// jobs that died mid-run as "interrupted". On SIGINT/SIGTERM the
-// daemon drains: admission stops (503 + Retry-After), in-flight jobs
-// finish, stores flush, then the process exits.
+// -jobstore makes wire jobs crash-durable — sweeps and /train runs
+// alike: specs are journaled at admission and results on completion,
+// so after a crash or restart the daemon still serves finished results
+// byte-identically and reports jobs that died mid-run as
+// "interrupted". -retainjobs bounds the finished jobs of every kind the
+// daemon keeps, replayed ones included; an eviction, like a DELETE of
+// a finished job, is journaled, so the job stays gone after a restart.
+// On SIGINT/SIGTERM the daemon drains: admission stops (503 +
+// Retry-After), in-flight jobs finish, stores flush, then the process
+// exits.
 //
 // Logging is structured (log/slog): every line carries a level and
 // keyed fields, every HTTP request is logged with a process-unique
@@ -65,7 +69,7 @@
 //	POST   /run             run one benchmark under one scheduler
 //	POST   /train           pre-train a grid's plans (?async=1 -> job)
 //	POST   /jobs            enqueue a sweep as a fire-and-forget job
-//	GET    /jobs            list jobs (sweeps and training runs)
+//	GET    /jobs            list jobs of every kind in admission order
 //	GET    /jobs/{id}       poll per-cell progress; result once done
 //	DELETE /jobs/{id}       cancel (cooperative) or evict when done
 //	GET    /healthz         liveness, uptime, workers, build identity
@@ -111,11 +115,12 @@ func main() {
 		"also publish the plan store on this period when it has unsaved plans (0 = request-count cadence only)")
 	pretrain := flag.String("pretrain", "",
 		"pre-train plans before serving: \"bench,...:sched,...\" ('all' or empty side = full set)")
-	retainJobs := flag.Int("retainjobs", 0, "finished jobs kept for /jobs/{id} polling (0 = default 256)")
+	retainJobs := flag.Int("retainjobs", 0,
+		"finished jobs of every kind (sweeps, training runs, replayed jobs) kept for /jobs/{id} polling (0 = default 256)")
 	maxJobs := flag.Int("maxjobs", 0, "admission bound on concurrently admitted jobs (0 = unbounded); excess requests get 429")
 	maxQueue := flag.Int("maxqueue", 0, "admission bound on queued run units across all jobs (0 = unbounded); excess requests get 429")
 	jobStore := flag.String("jobstore", "",
-		"crash-durable job journal: specs recorded at admission, results on completion, replayed at startup")
+		"crash-durable job journal for sweeps and training runs: specs recorded at admission, results on completion, evictions on removal, replayed at startup")
 	logLevel := flag.String("loglevel", "info", "log level: debug, info, warn or error (debug logs every request)")
 	logFormat := flag.String("logformat", "text", "log format: text or json")
 	debugAddr := flag.String("debugaddr", "",
@@ -170,7 +175,9 @@ func main() {
 	}
 	log.Info("trained", trained...)
 	if *jobStore != "" {
-		if n := len(sess.RestoredSummaries()); n > 0 {
+		// Nothing has been admitted yet: every registered job is a
+		// replayed one.
+		if n := len(sess.JobIDs()); n > 0 {
 			log.Info("jobs replayed", "jobs", n, "jobstore", *jobStore)
 		}
 	}

@@ -185,7 +185,9 @@ func compact(path string, entries []Entry) error {
 	}
 	defer os.Remove(tmp.Name())
 	for _, e := range entries {
-		if e.Spec != nil {
+		// A job journaled with neither payload still has an identity;
+		// its payload-less spec record keeps it across the rewrite.
+		if e.Spec != nil || e.Result == nil {
 			if err := writeRecord(tmp, record{Kind: kindSpec, ID: e.ID, Payload: e.Spec}); err != nil {
 				tmp.Close()
 				return err

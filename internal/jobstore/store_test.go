@@ -88,6 +88,23 @@ func TestTornTailRecovered(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsPayloadlessJob: a record without a payload still
+// names a job; compaction (here forced by a torn tail) must not drop
+// it, or replay would stop being idempotent.
+func TestCompactKeepsPayloadlessJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.ndjson")
+	if err := os.WriteFile(path, []byte(`{"kind":"spec","id":"j1"}`+"\n"+`{"ki`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		s, entries := openT(t, path)
+		if len(entries) != 1 || entries[0].ID != "j1" || entries[0].Spec != nil || entries[0].Result != nil {
+			t.Fatalf("open %d replayed %+v, want payload-less j1", i+1, entries)
+		}
+		s.Close()
+	}
+}
+
 // TestCorruptMiddleFails: a malformed line that is not the tail is
 // corruption, not a crash artifact — Open must refuse rather than
 // silently drop jobs.

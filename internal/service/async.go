@@ -3,14 +3,14 @@
 // JobHandle immediately; the handle serves Status polling (per-cell
 // progress), a per-cell completion stream (Cells — what the HTTP
 // layer turns into NDJSON frames), cooperative unit-granular Cancel,
-// and Wait for the assembled SweepResult. Session-level Status / Wait
-// / Cancel look handles up by id for the wire API, with finished jobs
-// retained (bounded by Config.RetainJobs) so pollers can fetch results
-// after completion.
+// and Wait for the assembled SweepResult. Each handle is a record of
+// the session's one job registry (registry.go) under a "j…" id, so the
+// wire API polls, cancels and evicts it like every other job kind,
+// with finished jobs retained (bounded by Config.RetainJobs) so
+// pollers can fetch results after completion.
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -36,7 +36,7 @@ const (
 	JobDone JobState = "done"
 	// JobInterrupted: replayed from the job journal with a spec but no
 	// result — the previous process died while the job was admitted or
-	// running. Only restored jobs carry this state.
+	// running. Only replayed jobs carry this state.
 	JobInterrupted JobState = "interrupted"
 )
 
@@ -85,9 +85,8 @@ type JobStatus struct {
 
 // JobHandle is the caller's reference to an admitted request.
 type JobHandle struct {
-	id  string
-	seq int64
-	s   *Session
+	record
+	s *Session
 
 	req         SweepRequest
 	plans       *sched.PlanCache
@@ -124,10 +123,6 @@ type JobHandle struct {
 	trainCancel  []atomic.Bool
 	earlyStopped atomic.Int64
 
-	// journaled marks jobs whose spec went into the session's job
-	// store; finalize journals their result on completion.
-	journaled bool
-
 	// firstDispatchNS is the UnixNano stamp of the first unit reaching
 	// a worker (0 while queued; CAS-set once). cancelNS stamps the
 	// first Cancel call so finalize can observe cancel→drained latency.
@@ -139,7 +134,6 @@ type JobHandle struct {
 	start  time.Time
 	end    time.Time // valid once doneCh is closed
 	result SweepResult
-	doneCh chan struct{}
 }
 
 // Enqueue validates and admits a sweep request as a job, returning its
@@ -196,7 +190,7 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 		cellAborted: make([]atomic.Bool, nCells),
 		cells:       make(chan CellResult, nCells),
 		start:       time.Now(),
-		doneCh:      make(chan struct{}),
+		record:      record{doneCh: make(chan struct{})},
 	}
 	if req.trainer {
 		h.trainCancel = make([]atomic.Bool, nCells)
@@ -209,15 +203,6 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 	if req.DeadlineMS > 0 {
 		deadline = time.Since(s.epoch).Milliseconds() + req.DeadlineMS
 	}
-
-	s.jobMu.Lock()
-	s.jobSeq++
-	h.seq = s.jobSeq
-	h.id = fmt.Sprintf("j%d", h.seq)
-	s.jobsByID[h.id] = h
-	s.jobOrder = append(s.jobOrder, h)
-	s.evictLocked()
-	s.jobMu.Unlock()
 
 	s.ensureWorkers(h.width)
 	d, err := s.pool.Admit(dispatch.Spec{
@@ -263,24 +248,24 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 		},
 	})
 	if err != nil {
-		s.unregister(h.id)
 		return nil, err
 	}
 	h.d = d
+	// Registration follows admission, so a listed job always has its
+	// dispatch job. Trainer rounds (SweepRequest.trainer) get no
+	// record: the training run's "t…" record owns them.
+	if !req.trainer {
+		s.register(h, "j")
+	}
 
 	// Journal the spec before finalize can possibly journal the
 	// result (finalize starts below), so replay never sees a result
 	// without its spec.
-	if s.store != nil && req.WireSpec != nil {
-		if jerr := s.store.AppendSpec(h.id, req.WireSpec); jerr != nil {
-			// Durability was requested and cannot be honoured: refuse
-			// the job rather than run it untracked.
-			d.Cancel()
-			d.Wait()
-			s.unregister(h.id)
-			return nil, jerr
-		}
-		h.journaled = true
+	if jerr := s.journalSpec(&h.record, req.WireSpec); jerr != nil {
+		d.Cancel()
+		d.Wait()
+		s.unregister(h.id)
+		return nil, jerr
 	}
 	go s.finalize(h)
 	return h, nil
@@ -295,39 +280,6 @@ func (h *JobHandle) markDispatched() time.Time {
 		h.firstDispatchNS.CompareAndSwap(0, now.UnixNano())
 	}
 	return now
-}
-
-// unregister removes a job admitted by Enqueue whose admission later
-// failed; it never runs once finalize has been started.
-func (s *Session) unregister(id string) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	h, ok := s.jobsByID[id]
-	if !ok {
-		return
-	}
-	delete(s.jobsByID, id)
-	for i, o := range s.jobOrder {
-		if o == h {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// evictLocked drops the oldest finished jobs beyond the retention
-// bound. Active jobs are never evicted. Called with jobMu held.
-func (s *Session) evictLocked() {
-	for i := 0; len(s.jobOrder) > s.retain && i < len(s.jobOrder); {
-		h := s.jobOrder[i]
-		select {
-		case <-h.doneCh:
-			delete(s.jobsByID, h.id)
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-		default:
-			i++
-		}
-	}
 }
 
 // finalize waits for the dispatch job to drain, assembles the result,
@@ -414,22 +366,11 @@ func (s *Session) finalize(h *JobHandle) {
 			m.cancelLatency.Observe(float64(h.end.UnixNano()-ca) / 1e9)
 		}
 	}
-	// Journal the result before publishing completion, so a shutdown
-	// ordered on WaitIdle cannot close the store under this append and
-	// a journaled "done" is never observable before it is durable.
 	if h.journaled {
-		if b, err := json.Marshal(h.s.wireSweepResult(res, h.end.Sub(h.start).Seconds())); err == nil {
-			// A failed append leaves the spec without a result: the
-			// job replays as interrupted, which is honest — its result
-			// did not survive.
-			_ = h.s.store.AppendResult(h.id, b)
-		}
+		s.journalResult(h.id, s.wireSweepResult(res, h.end.Sub(h.start).Seconds()))
 	}
 	close(h.doneCh)
 }
-
-// ID returns the job's session-unique id ("j1", "j2", …).
-func (h *JobHandle) ID() string { return h.id }
 
 // Workers returns the job's worker-share ceiling (SweepResult.Workers).
 func (h *JobHandle) Workers() int { return h.width }
@@ -440,9 +381,6 @@ func (h *JobHandle) Wait() SweepResult {
 	<-h.doneCh
 	return h.result
 }
-
-// Done returns a channel closed once the result is available.
-func (h *JobHandle) Done() <-chan struct{} { return h.doneCh }
 
 // Cells returns the job's per-cell completion stream: each cell's mean
 // report is delivered exactly once, in completion order, and the
@@ -473,12 +411,7 @@ func (h *JobHandle) Cancel() {
 // from one dispatch snapshot, so they never contradict each other.
 func (h *JobHandle) Status() JobStatus {
 	st := JobStatus{ID: h.id}
-	done := false
-	select {
-	case <-h.doneCh:
-		done = true
-	default:
-	}
+	done := h.done()
 	// The snapshot is taken after the doneness decision: a done job's
 	// counts are final, and a racing finish at worst shows complete
 	// counts under a still-"running" state — never a result without
@@ -529,76 +462,4 @@ func (h *JobHandle) Status() JobStatus {
 		}
 	}
 	return st
-}
-
-// Job looks a handle up by id.
-func (s *Session) Job(id string) (*JobHandle, bool) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	h, ok := s.jobsByID[id]
-	return h, ok
-}
-
-// Status snapshots a job by id.
-func (s *Session) Status(id string) (JobStatus, bool) {
-	h, ok := s.Job(id)
-	if !ok {
-		return JobStatus{}, false
-	}
-	return h.Status(), true
-}
-
-// Cancel cancels a job by id, reporting whether it exists.
-func (s *Session) Cancel(id string) bool {
-	h, ok := s.Job(id)
-	if ok {
-		h.Cancel()
-	}
-	return ok
-}
-
-// Wait blocks until the identified job completes and returns its
-// result, reporting whether the id exists.
-func (s *Session) Wait(id string) (SweepResult, bool) {
-	h, ok := s.Job(id)
-	if !ok {
-		return SweepResult{}, false
-	}
-	return h.Wait(), true
-}
-
-// Remove evicts a finished job from the registry (the wire DELETE on a
-// completed job); active jobs are left registered and false is
-// returned.
-func (s *Session) Remove(id string) bool {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	h, ok := s.jobsByID[id]
-	if !ok {
-		return false
-	}
-	select {
-	case <-h.doneCh:
-	default:
-		return false
-	}
-	delete(s.jobsByID, id)
-	for i, o := range s.jobOrder {
-		if o == h {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// JobIDs lists the registered jobs in admission order.
-func (s *Session) JobIDs() []string {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	ids := make([]string, len(s.jobOrder))
-	for i, h := range s.jobOrder {
-		ids[i] = h.id
-	}
-	return ids
 }

@@ -3,6 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -96,4 +101,60 @@ func FuzzBuildTrainRequest(f *testing.F) {
 			t.Error("the wire set a Go-API-only field")
 		}
 	})
+}
+
+// FuzzJobJournal writes arbitrary bytes as a session's job journal and
+// opens the session on it: the journal → registry → wire boundary. New
+// either refuses the journal or yields a session where every id GET
+// /jobs lists answers GET /jobs/{id} with a 200, and replay is
+// idempotent: closing and reopening lists the same jobs.
+func FuzzJobJournal(f *testing.F) {
+	cfg := testConfig(f)
+	cfg.DisableMetrics = true
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		cfg := cfg
+		cfg.JobStorePath = filepath.Join(t.TempDir(), "jobs.journal")
+		if err := os.WriteFile(cfg.JobStorePath, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(cfg)
+		if err != nil {
+			return
+		}
+		first := wireListing(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = New(cfg)
+		if err != nil {
+			t.Fatalf("reopening a journal the first session accepted: %v", err)
+		}
+		defer s.Close()
+		if again := wireListing(t, s); !bytes.Equal(again, first) {
+			t.Errorf("replay is not idempotent:\n first %s\n again %s", first, again)
+		}
+	})
+}
+
+// wireListing serves GET /jobs, requires every listed id to answer
+// GET /jobs/{id} with a 200, and returns the listing's body.
+func wireListing(t *testing.T, s *Session) []byte {
+	t.Helper()
+	h := NewHandler(s)
+	get := func(path string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		return rr
+	}
+	rr := get("/jobs")
+	var listing struct{ Jobs []WireJobSummary }
+	if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &listing) != nil {
+		t.Fatalf("GET /jobs = %d %s", rr.Code, rr.Body)
+	}
+	for _, j := range listing.Jobs {
+		if one := get("/jobs/" + url.PathEscape(j.JobID)); one.Code != http.StatusOK {
+			t.Errorf("listed job %q: GET /jobs/{id} = %d %s", j.JobID, one.Code, one.Body)
+		}
+	}
+	return rr.Body.Bytes()
 }

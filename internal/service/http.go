@@ -23,13 +23,16 @@
 //	               deadline_ms} dispatch hints
 //	             → 202 {job_id, state, units, cells, workers, poll}
 //	GET  /jobs     → {jobs: [{job_id, state, units_done, units_total}]}
+//	               — every job of every kind (sweeps "j…", training runs
+//	               "t…", journal-replayed jobs) in admission order
 //	GET  /jobs/{id}
 //	             → {job_id, state, units_*, cells: [per-cell progress],
 //	                elapsed_sec, result?} — result appears once done
 //	DELETE /jobs/{id}
 //	             → cancels a running job (cooperative, unit-granular:
 //	               queued units are dropped, in-flight ones finish) or
-//	               evicts a finished one; returns the final status
+//	               evicts a finished one, durably when it is journaled;
+//	               returns the final status
 //	POST /train    {benchmarks, schedulers, scale, seed, parallel,
 //	               weight, sensor_period_sec, sensor_off}
 //	             → {keys, trained, cached, skipped, failed, cells,
@@ -41,6 +44,8 @@
 //	             → 202 {job_id: "tN", state, keys, cells, poll} — the
 //	               training run then shows up in GET /jobs and is
 //	               pollable/cancellable at /jobs/tN like a sweep job
+//	               (sync or async, a session with a job store journals
+//	               it like a sweep; its rounds are never listed)
 //	GET  /healthz  → {plans_cached, plans_trained, training, requests,
 //	               jobs, queued_units, inflight_units, draining,
 //	               schedulers, benchmarks, uptime_sec, workers,
@@ -401,11 +406,33 @@ func (s *Session) wireTrainResult(res TrainResult, elapsedSec float64, err error
 	return out
 }
 
-// wireTrainStatus snapshots a training handle for the wire.
-func (s *Session) wireTrainStatus(h *TrainHandle) WireTrainStatus {
+// wireStatus snapshots a sweep for GET /jobs/{id}. The done check
+// precedes the status snapshot, so a body carrying a result always
+// reports the done/cancelled state (a finish racing the other way just
+// means one more poll).
+func (h *JobHandle) wireStatus(withResult bool) any {
+	done := withResult && h.done()
+	out := wireJobStatus(h.Status())
+	if done {
+		wr := h.s.wireSweepResult(h.result, out.ElapsedSec)
+		out.Result = &wr
+	}
+	return out
+}
+
+func (h *JobHandle) wireSummary() WireJobSummary {
+	st := h.Status()
+	return WireJobSummary{JobID: st.ID, State: string(st.State),
+		UnitsDone: st.UnitsDone, UnitsTotal: st.UnitsTotal}
+}
+
+// wireStatus snapshots a training run for the wire; its result appears
+// once training is done.
+func (h *TrainHandle) wireStatus(bool) any {
+	done := h.done()
 	p := h.Progress()
 	st := WireTrainStatus{
-		JobID:      h.ID(),
+		JobID:      h.id,
 		State:      h.TrainState(),
 		Keys:       p.Keys,
 		Trained:    p.Trained,
@@ -413,14 +440,19 @@ func (s *Session) wireTrainStatus(h *TrainHandle) WireTrainStatus {
 		Rounds:     p.Rounds,
 		ElapsedSec: h.Elapsed().Seconds(),
 	}
-	select {
-	case <-h.Done():
-		res, err := h.Wait()
-		wr := s.wireTrainResult(res, st.ElapsedSec, err)
+	if done {
+		wr := h.s.wireTrainResult(h.result, st.ElapsedSec, h.err)
 		st.Result = &wr
-	default:
 	}
 	return st
+}
+
+// wireSummary lists a training run by grid keys (resolved / total), the
+// granularity training progresses at.
+func (h *TrainHandle) wireSummary() WireJobSummary {
+	p := h.Progress()
+	return WireJobSummary{JobID: h.id, State: h.TrainState(),
+		UnitsDone: p.Trained + p.Cached + p.Skipped + p.Failed, UnitsTotal: p.Keys}
 }
 
 // buildTrainRequest validates a wire training request against the
@@ -711,14 +743,18 @@ func NewHandler(s *Session) http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
+		if s.store != nil {
+			treq.wireSpec, _ = json.Marshal(wr)
+		}
 		start := time.Now()
 		h, err := s.EnqueueTrain(treq)
 		if err != nil {
 			// EnqueueTrain fails on a draining session (503 like any
-			// admission) or on names/shapes the grid cannot resolve
-			// (400); it never sees the dispatcher, so overload cannot
-			// surface here — rounds report it through Wait instead.
-			if errors.Is(err, ErrDraining) {
+			// admission), on a failed spec journal write (500) or on
+			// names/shapes the grid cannot resolve (400); it never sees
+			// the dispatcher, so overload cannot surface here — rounds
+			// report it through Wait instead.
+			if errors.Is(err, ErrDraining) || errors.Is(err, errJournal) {
 				writeAdmitErr(w, err)
 			} else {
 				writeErr(w, http.StatusBadRequest, err)
@@ -761,91 +797,36 @@ func NewHandler(s *Session) http.Handler {
 	})
 
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		ids := s.JobIDs()
-		// Journal-replayed jobs lead the listing: they predate every
-		// job of the live session.
-		jobs := append(s.RestoredSummaries(), make([]WireJobSummary, 0, len(ids))...)
-		for _, id := range ids {
-			if st, ok := s.Status(id); ok {
-				jobs = append(jobs, WireJobSummary{JobID: st.ID, State: string(st.State),
-					UnitsDone: st.UnitsDone, UnitsTotal: st.UnitsTotal})
-			}
-		}
-		// Training runs close the listing; their "units" are grid keys
-		// (resolved / total), the granularity training progresses at.
-		for _, id := range s.TrainIDs() {
-			if th, ok := s.TrainJob(id); ok {
-				p := th.Progress()
-				jobs = append(jobs, WireJobSummary{JobID: th.ID(), State: th.TrainState(),
-					UnitsDone: p.Trained + p.Cached + p.Skipped + p.Failed, UnitsTotal: p.Keys})
-			}
+		recs := s.records()
+		jobs := make([]WireJobSummary, len(recs))
+		for i, rec := range recs {
+			jobs[i] = rec.wireSummary()
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		h, ok := s.Job(id)
+		rec, ok := s.Lookup(id)
 		if !ok {
-			if st, ok := s.RestoredStatus(id); ok {
-				writeJSON(w, http.StatusOK, st)
-				return
-			}
-			if th, ok := s.TrainJob(id); ok {
-				writeJSON(w, http.StatusOK, s.wireTrainStatus(th))
-				return
-			}
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 			return
 		}
-		// The done check precedes the status snapshot, so a response
-		// carrying a result always reports the done/cancelled state (a
-		// finish racing the other way just means one more poll).
-		var result *SweepResult
-		select {
-		case <-h.Done():
-			res := h.Wait()
-			result = &res
-		default:
-		}
-		out := wireJobStatus(h.Status())
-		if result != nil {
-			wr := s.wireSweepResult(*result, out.ElapsedSec)
-			out.Result = &wr
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, rec.wireStatus(true))
 	})
 
+	// DELETE cancels a running job and evicts a finished one.
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		h, ok := s.Job(id)
+		rec, ok := s.Lookup(id)
 		if !ok {
-			if st, ok := s.RestoredStatus(id); ok {
-				s.RemoveRestored(id)
-				writeJSON(w, http.StatusOK, st)
-				return
-			}
-			if th, ok := s.TrainJob(id); ok {
-				select {
-				case <-th.Done():
-					s.RemoveTrain(id)
-				default:
-					th.Cancel()
-				}
-				writeJSON(w, http.StatusOK, s.wireTrainStatus(th))
-				return
-			}
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 			return
 		}
-		select {
-		case <-h.Done():
-			// Already finished: DELETE evicts the record.
-			s.Remove(id)
-		default:
-			h.Cancel()
+		if !s.Remove(id) {
+			rec.Cancel()
 		}
-		writeJSON(w, http.StatusOK, wireJobStatus(h.Status()))
+		writeJSON(w, http.StatusOK, rec.wireStatus(false))
 	})
 
 	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {

@@ -325,7 +325,7 @@ func TestSessionJobJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, ok := b.RestoredStatus("j1")
+	done, ok := sweepStatus(b, "j1")
 	if !ok || done.State != string(JobDone) || done.Result == nil {
 		t.Fatalf("restored j1 = (%+v, %v), want done with result", done, ok)
 	}
@@ -339,7 +339,7 @@ func TestSessionJobJournalReplay(t *testing.T) {
 		t.Errorf("restored report differs from the pre-restart one:\nrestored: %+v\noriginal: %+v", got, want)
 	}
 
-	interrupted, ok := b.RestoredStatus("j7")
+	interrupted, ok := sweepStatus(b, "j7")
 	if !ok || interrupted.State != string(JobInterrupted) || interrupted.Result != nil {
 		t.Fatalf("restored j7 = (%+v, %v), want interrupted without result", interrupted, ok)
 	}
@@ -347,11 +347,11 @@ func TestSessionJobJournalReplay(t *testing.T) {
 		t.Errorf("interrupted units_total = %d, want 2 (from its spec)", interrupted.UnitsTotal)
 	}
 
-	if sums := b.RestoredSummaries(); len(sums) != 2 || sums[0].JobID != "j1" || sums[1].JobID != "j7" {
-		t.Errorf("restored summaries = %+v, want [j1 j7]", sums)
+	if ids := b.JobIDs(); len(ids) != 2 || ids[0] != "j1" || ids[1] != "j7" {
+		t.Errorf("restored ids = %v, want [j1 j7]", ids)
 	}
 
-	// The restored registry is part of the wire surface.
+	// Replayed jobs are part of the wire surface.
 	srv := httptest.NewServer(NewHandler(b))
 	resp, err := http.Get(srv.URL + "/jobs/j1")
 	if err != nil {
@@ -375,8 +375,8 @@ func TestSessionJobJournalReplay(t *testing.T) {
 	h.Wait()
 
 	// A durable eviction: gone for every later session.
-	if !b.RemoveRestored("j7") {
-		t.Fatal("RemoveRestored(j7) failed")
+	if !b.Remove("j7") {
+		t.Fatal("Remove(j7) failed")
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -386,11 +386,62 @@ func TestSessionJobJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, ok := c.RestoredStatus("j7"); ok {
+	if _, ok := c.Lookup("j7"); ok {
 		t.Error("evicted j7 reappeared after restart")
 	}
-	if _, ok := c.RestoredStatus("j1"); !ok {
+	if _, ok := c.Lookup("j1"); !ok {
 		t.Error("j1 lost across second restart")
+	}
+}
+
+// TestJobDeleteDurable: a wire DELETE of a finished journaled sweep
+// journals the eviction, so the job stays gone after a restart.
+func TestJobDeleteDurable(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.JobStorePath = filepath.Join(t.TempDir(), "jobs.ndjson")
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(a))
+	var created WireJobCreated
+	req := WireSweepRequest{Benchmarks: []string{"SLU"}, Schedulers: []string{"GRWS"}, Scale: 0.02}
+	if code := postJSON(t, srv, "/jobs", req, &created); code != http.StatusAccepted {
+		t.Fatalf("POST /jobs: status %d", code)
+	}
+	rec, ok := a.Lookup(created.JobID)
+	if !ok {
+		t.Fatalf("job %s is not registered", created.JobID)
+	}
+	<-rec.Done()
+	del, _ := http.NewRequest(http.MethodDelete, srv.URL+created.Poll, nil)
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s: status %d", created.Poll, resp.StatusCode)
+	}
+	srv.Close()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	srv = httptest.NewServer(NewHandler(b))
+	defer srv.Close()
+	resp, err = http.Get(srv.URL + created.Poll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET %s after DELETE and restart: status %d, want 404", created.Poll, resp.StatusCode)
 	}
 }
 

@@ -77,8 +77,9 @@ type Config struct {
 	// SaveEvery is the flush period in requests (default 1 — every
 	// request that may have trained something writes the store back).
 	SaveEvery int
-	// RetainJobs bounds the finished jobs kept for Status/Wait lookup
-	// by id (default 256; active jobs are never evicted).
+	// RetainJobs bounds the finished jobs of every kind kept for lookup
+	// by id — sweeps, training runs and journal-replayed jobs alike
+	// (default 256; active jobs are never evicted).
 	RetainJobs int
 	// MaxJobs and MaxQueuedUnits bound admission (0 = unbounded):
 	// MaxJobs caps concurrently admitted unfinished jobs,
@@ -89,10 +90,10 @@ type Config struct {
 	MaxJobs        int
 	MaxQueuedUnits int
 	// JobStorePath, when set, makes jobs crash-durable: every wire
-	// request (SweepRequest.WireSpec non-nil) is journaled at
-	// admission and its result on completion, New replays the journal
-	// into the restored-job registry, and Close closes the journal. A
-	// session owns its journal exclusively (flock) from New to Close.
+	// sweep (SweepRequest.WireSpec non-nil) and wire training run is
+	// journaled at admission and its result on completion, New replays
+	// the journal into the job registry, and Close closes the journal.
+	// A session owns its journal exclusively (flock) from New to Close.
 	JobStorePath string
 	// PlanFlushPeriod, when positive (and PlanStorePath is set), adds a
 	// timer to the plan-store publication cadence: a background loop
@@ -155,14 +156,13 @@ type Session struct {
 	costs  map[costKey]cellInfo
 	costG  *dag.Graph
 
-	// jobMu guards the job registry (id → handle, admission order)
-	// and the restored-job registry replayed from the job journal.
-	jobMu         sync.Mutex
-	jobSeq        int64
-	jobsByID      map[string]*JobHandle
-	jobOrder      []*JobHandle
-	restored      map[string]*restoredJob
-	restoredOrder []string
+	// jobMu guards the job registry (registry.go): every record of
+	// every kind by id and in admission order, and the id sequence the
+	// "j…" and "t…" prefixes share.
+	jobMu    sync.Mutex
+	jobSeq   int64
+	jobsByID map[string]Record
+	jobOrder []Record
 
 	// store is the crash-durable job journal (nil without
 	// Config.JobStorePath); epoch anchors deadline arithmetic and
@@ -185,14 +185,6 @@ type Session struct {
 	flushOnce sync.Once
 	flushWG   sync.WaitGroup
 
-	// trainMu guards the explicit-training registry: TrainHandles by id
-	// ("t1", "t2", …), in admission order, bounded like the job
-	// registry.
-	trainMu    sync.Mutex
-	trainSeq   int64
-	trainsByID map[string]*TrainHandle
-	trainOrder []*TrainHandle
-
 	requests atomic.Int64
 
 	// registry/metrics are the session's observability surface (nil
@@ -210,20 +202,18 @@ func New(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("service: Config needs a non-nil Oracle and Set")
 	}
 	s := &Session{
-		oracle:     cfg.Oracle,
-		set:        cfg.Set,
-		erase:      cfg.ERASE,
-		plans:      cfg.Plans,
-		parallel:   cfg.Parallel,
-		storePath:  cfg.PlanStorePath,
-		saveEvery:  cfg.SaveEvery,
-		retain:     cfg.RetainJobs,
-		pool:       dispatch.NewPool(0),
-		costs:      make(map[costKey]cellInfo),
-		jobsByID:   make(map[string]*JobHandle),
-		restored:   make(map[string]*restoredJob),
-		trainsByID: make(map[string]*TrainHandle),
-		epoch:      time.Now(),
+		oracle:    cfg.Oracle,
+		set:       cfg.Set,
+		erase:     cfg.ERASE,
+		plans:     cfg.Plans,
+		parallel:  cfg.Parallel,
+		storePath: cfg.PlanStorePath,
+		saveEvery: cfg.SaveEvery,
+		retain:    cfg.RetainJobs,
+		pool:      dispatch.NewPool(0),
+		costs:     make(map[costKey]cellInfo),
+		jobsByID:  make(map[string]Record),
+		epoch:     time.Now(),
 	}
 	s.pool.SetLimits(dispatch.Limits{
 		MaxJobs:        cfg.MaxJobs,
@@ -391,32 +381,6 @@ func (s *Session) Load() (jobs, queuedUnits, inflightUnits int) {
 	return s.pool.Load()
 }
 
-// WaitIdle blocks until every registered job has finished. Combined
-// with StartDrain (no new admissions) this is the daemon's graceful
-// shutdown barrier for fire-and-forget async jobs, which no HTTP
-// request is left waiting on.
-func (s *Session) WaitIdle() {
-	for {
-		var pending *JobHandle
-		s.jobMu.Lock()
-		for _, h := range s.jobOrder {
-			select {
-			case <-h.doneCh:
-			default:
-				pending = h
-			}
-			if pending != nil {
-				break
-			}
-		}
-		s.jobMu.Unlock()
-		if pending == nil {
-			return
-		}
-		<-pending.doneCh
-	}
-}
-
 // Job is one (workload, scheduler-constructor) cell of a sweep. Make
 // must build a fresh scheduler each call; within one request — and
 // across requests on one session — a Label must always denote the same
@@ -541,7 +505,7 @@ type worker struct {
 	// lastJob/lastCell key the graph currently built into the arenas;
 	// jobs interleave on the pool, so the key is ⟨job, cell⟩ rather
 	// than a request-scoped cell index.
-	lastJob  int64
+	lastJob  *JobHandle
 	lastCell int
 	scheds   map[string]taskrt.Scheduler
 }
@@ -558,7 +522,7 @@ func (s *Session) workerAt(id int) *worker {
 func (s *Session) ensureWorkers(n int) {
 	s.workerMu.Lock()
 	for len(s.workers) < n {
-		s.workers = append(s.workers, &worker{lastJob: -1})
+		s.workers = append(s.workers, &worker{})
 	}
 	s.workerMu.Unlock()
 	s.pool.Grow(n)
@@ -685,9 +649,9 @@ func (s *Session) schedulerFor(w *worker, j Job, req *SweepRequest, plans *sched
 func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Report, int, bool) {
 	req := &h.req
 	j := req.Jobs[cell]
-	if w.g == nil || w.lastJob != h.seq || w.lastCell != cell {
+	if w.g == nil || w.lastJob != h || w.lastCell != cell {
 		w.g = j.Workload.BuildReuse(w.g, req.Scale)
-		w.lastJob, w.lastCell = h.seq, cell
+		w.lastJob, w.lastCell = h, cell
 	}
 	sc := s.schedulerFor(w, j, req, h.plans)
 	seed := req.Seed + int64(repeat)

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -505,17 +507,15 @@ func TestSessionAsyncLifecycle(t *testing.T) {
 	}
 
 	// Id lookups.
-	if got, ok := s.Wait(h.ID()); !ok || !reflect.DeepEqual(got.Reports, res.Reports) {
-		t.Errorf("Session.Wait(%q) = (%v, %v)", h.ID(), got.Reports, ok)
+	rec, ok := s.Lookup(h.ID())
+	if !ok || rec != Record(h) {
+		t.Fatalf("Session.Lookup(%q) = (%v, %v), want the handle", h.ID(), rec, ok)
 	}
-	if _, ok := s.Status(h.ID()); !ok {
-		t.Errorf("Session.Status(%q) not found", h.ID())
+	if got := rec.(*JobHandle).Wait(); !reflect.DeepEqual(got.Reports, res.Reports) {
+		t.Errorf("looked-up Wait(%q) = %v", h.ID(), got.Reports)
 	}
-	if _, ok := s.Status("nope"); ok {
-		t.Error("Status of an unknown job id succeeded")
-	}
-	if s.Cancel("nope") {
-		t.Error("Cancel of an unknown job id succeeded")
+	if _, ok := s.Lookup("nope"); ok {
+		t.Error("Lookup of an unknown job id succeeded")
 	}
 }
 
@@ -560,7 +560,7 @@ func TestSessionCancelDropsQueuedUnits(t *testing.T) {
 	if !s.Remove(h.ID()) {
 		t.Errorf("Remove(%q) failed on a finished job", h.ID())
 	}
-	if _, ok := s.Job(h.ID()); ok {
+	if _, ok := s.Lookup(h.ID()); ok {
 		t.Error("removed job still registered")
 	}
 }
@@ -591,7 +591,76 @@ func TestSessionJobRetention(t *testing.T) {
 	if len(ids) > 3 { // retain bound + the one admitted before eviction ran
 		t.Errorf("registry holds %d jobs (%v), want <= 3", len(ids), ids)
 	}
-	if _, ok := s.Job(last); !ok {
+	if _, ok := s.Lookup(last); !ok {
 		t.Errorf("most recent job %q was evicted", last)
 	}
+
+	// Journaled: evictions are journaled, so a restart replays at most
+	// RetainJobs jobs and the compacted journal holds no more, and a
+	// replayed job is evicted like any other finished one.
+	cfg.RetainJobs = 1
+	cfg.JobStorePath = filepath.Join(t.TempDir(), "jobs.ndjson")
+	journaled := func(s *Session) SweepRequest {
+		return SweepRequest{
+			Jobs:     jobsFor(s, []string{"SLU"}, []string{"GRWS"}),
+			Scale:    0.02,
+			Parallel: 1,
+			WireSpec: json.RawMessage(`{"benchmarks":["SLU"],"schedulers":["GRWS"],"scale":0.02}`),
+		}
+	}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustEnqueue(t, a, journaled(a)).Wait()
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if ids := b.JobIDs(); len(ids) > 1 {
+		t.Errorf("restart replayed %d jobs (%v), want <= 1", len(ids), ids)
+	}
+	inJournal := map[string]bool{}
+	for key := range readJournalPayloads(t, cfg.JobStorePath) {
+		kind, id, _ := strings.Cut(key, "/")
+		if kind != "spec" && kind != "result" {
+			t.Errorf("compacted journal holds a %q record for %s", kind, id)
+		}
+		inJournal[id] = true
+	}
+	if len(inJournal) > 1 {
+		t.Errorf("compacted journal holds %d jobs (%v), want <= 1", len(inJournal), inJournal)
+	}
+	h := mustEnqueue(t, b, journaled(b))
+	h.Wait()
+	if ids := b.JobIDs(); len(ids) != 1 || ids[0] != h.ID() {
+		t.Errorf("registry after a post-restart job = %v, want only %s (the replayed job evicted)", ids, h.ID())
+	}
+}
+
+// sweepStatus looks a sweep up in the job registry and returns its
+// GET /jobs/{id} body; ok is false for an unknown id or another kind.
+func sweepStatus(s *Session, id string) (WireJobStatus, bool) {
+	rec, ok := s.Lookup(id)
+	if !ok {
+		return WireJobStatus{}, false
+	}
+	st, ok := rec.wireStatus(true).(WireJobStatus)
+	return st, ok
+}
+
+// trainStatus is sweepStatus for training runs.
+func trainStatus(s *Session, id string) (WireTrainStatus, bool) {
+	rec, ok := s.Lookup(id)
+	if !ok {
+		return WireTrainStatus{}, false
+	}
+	st, ok := rec.wireStatus(true).(WireTrainStatus)
+	return st, ok
 }

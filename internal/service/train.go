@@ -15,6 +15,12 @@
 // so training pays sampling+search plus a bounded tail, not a full
 // makespan.
 //
+// A training run is one record of the session's job registry
+// (registry.go) under a "t…" id: listed, polled, cancelled and evicted
+// on the wire like a sweep, and journaled like one when the wire layer
+// supplies its spec. Its rounds are dispatcher jobs without a record of
+// their own.
+//
 // Single-flighting is cell-granular: a cell whose key set intersects
 // another in-flight trainer's claims is skipped (its keys counted
 // Skipped), never waited on — claims are held across whole rounds, so
@@ -32,6 +38,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -79,6 +86,9 @@ type TrainRequest struct {
 	// Plans overrides the session's resident plan cache (nil = the
 	// resident cache), mirroring SweepRequest.Plans.
 	Plans *sched.PlanCache
+	// wireSpec mirrors SweepRequest.WireSpec: the wire layer sets it on
+	// a session with a job store, and the run is journaled.
+	wireSpec json.RawMessage
 }
 
 // TrainResult is the per-key accounting of one Train call. Every
@@ -133,8 +143,8 @@ type trainCell struct {
 // the training counterpart of JobHandle, registered under ids "t1",
 // "t2", … so the wire /jobs surface can address both kinds.
 type TrainHandle struct {
-	id string
-	s  *Session
+	record
+	s *Session
 
 	plans *sched.PlanCache
 	cells []trainCell
@@ -160,7 +170,6 @@ type TrainHandle struct {
 	end    time.Time // valid once doneCh is closed
 	result TrainResult
 	err    error
-	doneCh chan struct{}
 }
 
 // Train pre-trains the grid synchronously: EnqueueTrain + Wait. The
@@ -177,9 +186,10 @@ func (s *Session) Train(req TrainRequest) (TrainResult, error) {
 }
 
 // EnqueueTrain validates a training request, registers a TrainHandle
-// and starts the round driver, returning immediately. Unlike Enqueue
-// it returns errors (not panics) for bad shapes — the wire layer calls
-// it directly.
+// (journaling its wire spec on a session with a job store) and starts
+// the round driver, returning immediately. Unlike Enqueue it returns
+// errors (not panics) for bad shapes — the wire layer calls it
+// directly.
 func (s *Session) EnqueueTrain(req TrainRequest) (*TrainHandle, error) {
 	if s.draining.Load() {
 		return nil, ErrDraining
@@ -242,7 +252,7 @@ func (s *Session) EnqueueTrain(req TrainRequest) (*TrainHandle, error) {
 		parallel: req.Parallel,
 		sensorP:  req.SensorPeriodSec,
 		sensorOf: req.SensorOff,
-		doneCh:   make(chan struct{}),
+		record:   record{doneCh: make(chan struct{})},
 		start:    time.Now(),
 	}
 	distinct := make(map[sched.PlanKey]struct{})
@@ -272,14 +282,11 @@ func (s *Session) EnqueueTrain(req TrainRequest) (*TrainHandle, error) {
 	h.keys = len(distinct)
 	h.progress = TrainResult{Keys: h.keys, Cells: len(h.cells)}
 
-	s.trainMu.Lock()
-	s.trainSeq++
-	h.id = fmt.Sprintf("t%d", s.trainSeq)
-	s.trainsByID[h.id] = h
-	s.trainOrder = append(s.trainOrder, h)
-	s.evictTrainsLocked()
-	s.trainMu.Unlock()
-
+	s.register(h, "t")
+	if err := s.journalSpec(&h.record, req.wireSpec); err != nil {
+		s.unregister(h.id)
+		return nil, err
+	}
 	go s.runTrain(h)
 	return h, nil
 }
@@ -434,11 +441,11 @@ func (s *Session) runTrain(h *TrainHandle) {
 	h.mu.Unlock()
 	h.result = res
 	h.end = time.Now()
+	if h.journaled {
+		s.journalResult(h.id, s.wireTrainResult(res, h.end.Sub(h.start).Seconds(), h.err))
+	}
 	close(h.doneCh)
 }
-
-// ID returns the handle's session-unique id ("t1", "t2", …).
-func (h *TrainHandle) ID() string { return h.id }
 
 // Wait blocks until training finishes and returns the result. The
 // error is non-nil when a round's admission failed (the result still
@@ -447,9 +454,6 @@ func (h *TrainHandle) Wait() (TrainResult, error) {
 	<-h.doneCh
 	return h.result, h.err
 }
-
-// Done returns a channel closed once the result is available.
-func (h *TrainHandle) Done() <-chan struct{} { return h.doneCh }
 
 // Cancel stops training: the in-flight round is cancelled
 // cooperatively (trainer units unwind within taskrt.CancelPollEvents
@@ -467,21 +471,25 @@ func (h *TrainHandle) Cancel() {
 // TrainState is the handle's lifecycle phase, reusing JobState's wire
 // vocabulary plus "failed" for a round whose admission errored.
 func (h *TrainHandle) TrainState() string {
-	select {
-	case <-h.doneCh:
-		switch {
-		case h.err != nil:
-			return "failed"
-		case h.result.Cancelled:
-			return string(JobCancelled)
-		default:
-			return string(JobDone)
-		}
+	switch {
+	case h.done():
+		return trainDoneState(h.err != nil, h.result.Cancelled)
+	case h.cancelled.Load():
+		return string(JobCancelled)
 	default:
-		if h.cancelled.Load() {
-			return string(JobCancelled)
-		}
 		return string(JobRunning)
+	}
+}
+
+// trainDoneState is a finished training run's state, live or replayed.
+func trainDoneState(failed, cancelled bool) string {
+	switch {
+	case failed:
+		return "failed"
+	case cancelled:
+		return string(JobCancelled)
+	default:
+		return string(JobDone)
 	}
 }
 
@@ -494,80 +502,8 @@ func (h *TrainHandle) Progress() TrainResult {
 
 // Elapsed returns the handle's wall-clock age (final once done).
 func (h *TrainHandle) Elapsed() time.Duration {
-	select {
-	case <-h.doneCh:
+	if h.done() {
 		return h.end.Sub(h.start)
-	default:
-		return time.Since(h.start)
 	}
-}
-
-// Err returns the admission error that ended training early, if any
-// (nil while running).
-func (h *TrainHandle) Err() error {
-	select {
-	case <-h.doneCh:
-		return h.err
-	default:
-		return nil
-	}
-}
-
-// TrainJob looks a training handle up by id.
-func (s *Session) TrainJob(id string) (*TrainHandle, bool) {
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
-	h, ok := s.trainsByID[id]
-	return h, ok
-}
-
-// TrainIDs lists registered training runs in admission order.
-func (s *Session) TrainIDs() []string {
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
-	ids := make([]string, len(s.trainOrder))
-	for i, h := range s.trainOrder {
-		ids[i] = h.id
-	}
-	return ids
-}
-
-// RemoveTrain evicts a finished training run from the registry;
-// running ones are left registered and false is returned.
-func (s *Session) RemoveTrain(id string) bool {
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
-	h, ok := s.trainsByID[id]
-	if !ok {
-		return false
-	}
-	select {
-	case <-h.doneCh:
-	default:
-		return false
-	}
-	delete(s.trainsByID, id)
-	for i, o := range s.trainOrder {
-		if o == h {
-			s.trainOrder = append(s.trainOrder[:i], s.trainOrder[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// evictTrainsLocked drops the oldest finished training runs beyond the
-// retention bound (shared with the job registry). Called with trainMu
-// held.
-func (s *Session) evictTrainsLocked() {
-	for i := 0; len(s.trainOrder) > s.retain && i < len(s.trainOrder); {
-		h := s.trainOrder[i]
-		select {
-		case <-h.doneCh:
-			delete(s.trainsByID, h.id)
-			s.trainOrder = append(s.trainOrder[:i], s.trainOrder[i+1:]...)
-		default:
-			i++
-		}
-	}
+	return time.Since(h.start)
 }

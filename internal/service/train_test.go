@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"joss/internal/sched"
+	"joss/internal/taskrt"
 )
 
 // jsonDecode drains and decodes one response body.
@@ -291,7 +292,120 @@ func TestTrainHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE %s: status %d", created.Poll, resp.StatusCode)
 	}
-	if _, ok := sess.TrainJob(created.JobID); ok {
+	if _, ok := sess.Lookup(created.JobID); ok {
 		t.Fatalf("finished training run %s survived DELETE", created.JobID)
 	}
+}
+
+// TestTrainRoundsStayInternal: a training run is one "t…" record —
+// its rounds are dispatcher jobs that neither appear in GET /jobs nor
+// use up an id of the shared sequence — and a DELETE of the record
+// while a round is in flight cancels that round cooperatively.
+func TestTrainRoundsStayInternal(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Parallel = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	listIDs := func() []string {
+		resp, err := http.Get(srv.URL + "/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var listing struct{ Jobs []WireJobSummary }
+		if err := jsonDecode(resp, &listing); err != nil {
+			t.Fatal(err)
+		}
+		ids := []string{}
+		for _, j := range listing.Jobs {
+			ids = append(ids, j.JobID)
+		}
+		return ids
+	}
+	train := func(benches ...string) WireTrainRequest {
+		return WireTrainRequest{Benchmarks: benches, Schedulers: []string{"JOSS"}, Scale: 0.02}
+	}
+
+	var res WireTrainResult
+	if code := postJSON(t, srv, "/train", train("SLU", "MM_256_dop4"), &res); code != http.StatusOK || res.Rounds == 0 {
+		t.Fatalf("sync /train: status %d, %+v (want at least one round)", code, res)
+	}
+	var created WireTrainCreated
+	if code := postJSON(t, srv, "/train?async=1", train("VG"), &created); code != http.StatusAccepted {
+		t.Fatalf("/train?async=1: status %d", code)
+	}
+	rec, ok := s.Lookup(created.JobID)
+	if !ok {
+		t.Fatalf("async training run %s is not registered", created.JobID)
+	}
+	<-rec.Done()
+	if st, _ := trainStatus(s, created.JobID); st.Result == nil || st.Result.Rounds == 0 {
+		t.Fatalf("async training run ended without a round: %+v", st)
+	}
+	if ids := listIDs(); !reflect.DeepEqual(ids, []string{"t1", "t2"}) {
+		t.Fatalf("GET /jobs after two training runs = %v, want [t1 t2]", ids)
+	}
+
+	// Occupy the only worker with a sweep parked mid-simulation, so the
+	// next training run's round is admitted but cannot finish.
+	release, parked := make(chan struct{}), make(chan struct{})
+	var parkOnce sync.Once
+	wl, _, _ := FindWorkload("HT_Small")
+	blocker := mustEnqueue(t, s, SweepRequest{
+		Jobs: []Job{{Workload: wl, Label: "GRWS-park", Make: func() taskrt.Scheduler {
+			return &cancelTrigger{Scheduler: s.NewScheduler("GRWS"), after: 10, fire: func() {
+				parkOnce.Do(func() { close(parked); <-release })
+			}}
+		}}},
+		Scale:    0.02,
+		Parallel: 1,
+	})
+	if blocker.ID() != "j3" {
+		t.Errorf("first sweep after two training runs got id %s, want j3 (rounds use no ids)", blocker.ID())
+	}
+	<-parked
+
+	if code := postJSON(t, srv, "/train?async=1", train("DP"), &created); code != http.StatusAccepted {
+		t.Fatalf("/train?async=1 (DP): status %d", code)
+	}
+	rec, _ = s.Lookup(created.JobID)
+	th := rec.(*TrainHandle)
+	var round *JobHandle
+	for deadline := time.Now().Add(30 * time.Second); round == nil; {
+		th.mu.Lock()
+		round = th.cur
+		th.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("training round never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if ids := listIDs(); !reflect.DeepEqual(ids, []string{"t1", "t2", "j3", "t4"}) {
+		t.Errorf("GET /jobs with a round in flight = %v, want [t1 t2 j3 t4]", ids)
+	}
+
+	del, _ := http.NewRequest(http.MethodDelete, srv.URL+created.Poll, nil)
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st WireTrainStatus
+	if err := jsonDecode(resp, &st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.State != string(JobCancelled) {
+		t.Errorf("DELETE %s mid-round: status %d, state %q, want 200 cancelled", created.Poll, resp.StatusCode, st.State)
+	}
+	close(release)
+	if rres := round.Wait(); !rres.Cancelled || rres.UnitsDone == rres.Units {
+		t.Errorf("in-flight round after DELETE = %+v, want cancelled with units dropped", rres)
+	}
+	if tres, _ := th.Wait(); !tres.Cancelled {
+		t.Errorf("training run after DELETE = %+v, want cancelled", tres)
+	}
+	blocker.Wait()
 }
