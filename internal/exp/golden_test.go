@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -23,6 +26,7 @@ type goldenReport struct {
 	freqReq, recruit     int
 	transCPU, transMem   int
 	byType               [2]int
+	events               int
 }
 
 var goldenCases = []struct {
@@ -41,6 +45,7 @@ var goldenCases = []struct {
 			samples: 210, tasks: 650, steals: 209,
 			freqReq: 0, recruit: 0, transCPU: 0, transMem: 0,
 			byType: [2]int{390, 260},
+			events: 2210,
 		},
 	},
 	{
@@ -53,6 +58,7 @@ var goldenCases = []struct {
 			samples: 556, tasks: 650, steals: 38,
 			freqReq: 650, recruit: 51, transCPU: 108, transMem: 138,
 			byType: [2]int{518, 132},
+			events: 3656,
 		},
 	},
 	{
@@ -65,6 +71,7 @@ var goldenCases = []struct {
 			samples: 121, tasks: 509, steals: 152,
 			freqReq: 0, recruit: 0, transCPU: 0, transMem: 0,
 			byType: [2]int{296, 213},
+			events: 1759,
 		},
 	},
 	{
@@ -77,6 +84,7 @@ var goldenCases = []struct {
 			samples: 236, tasks: 509, steals: 51,
 			freqReq: 509, recruit: 90, transCPU: 143, transMem: 0,
 			byType: [2]int{214, 295},
+			events: 2517,
 		},
 	},
 }
@@ -122,6 +130,9 @@ func TestGoldenReports(t *testing.T) {
 			if [2]int{s.TasksByType[0], s.TasksByType[1]} != w.byType {
 				t.Errorf("tasksByType = %v, want %v", s.TasksByType, w.byType)
 			}
+			if s.Events != w.events {
+				t.Errorf("events = %d, want %d", s.Events, w.events)
+			}
 		})
 	}
 }
@@ -164,6 +175,36 @@ func TestFig8GoldenGeomeans(t *testing.T) {
 		if res.GeoMean[sn] != w {
 			t.Errorf("%s geomean = %.17g, want %.17g exactly", sn, res.GeoMean[sn], w)
 		}
+	}
+}
+
+// fig8ReportDigest is the SHA-256 of the JSON of every cell report of
+// the scale-0.01, seed-1 Figure 8 grid, in workload-then-scheduler
+// order, as produced before the event engine gained its FIFO lanes.
+const fig8ReportDigest = "47282a93c0bd11811f6ebdd30f7e9e65ba3865fedfdfe237bd0d14a945fb6018"
+
+// TestFig8ReportDigest pins every report field of the whole Figure 8
+// grid — energies, makespans, samples, event counts and per-kernel
+// stats of all 126 cells — where TestFig8GoldenGeomeans pins only six
+// aggregates: any change to event order, RNG draws or float operation
+// order anywhere in the grid changes the digest.
+func TestFig8ReportDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sweep")
+	}
+	res := testEnv(t).Fig8()
+	h := sha256.New()
+	for _, wl := range workloads.Fig8Configs() {
+		for _, sn := range SchedulerNames {
+			b, err := json.Marshal(res.Reports[wl.Name][sn])
+			if err != nil {
+				t.Fatalf("%s/%s: %v", wl.Name, sn, err)
+			}
+			h.Write(b)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fig8ReportDigest {
+		t.Errorf("Fig8 report digest = %s, want %s", got, fig8ReportDigest)
 	}
 }
 
