@@ -6,7 +6,7 @@ GO ?= go
 # against; update it when a PR intentionally moves the baseline.
 PERF_BASELINE ?= BENCH_20261017T041551.json
 
-.PHONY: tier1 fmt vet build test chaos bench bench-json perfgate clean
+.PHONY: tier1 fmt vet build test chaos bench bench-json perfgate profile-fig8 clean
 
 # tier1 is the repo's merge gate: formatting, vet, build, full test
 # suite and the short benchmark smoke (one iteration per benchmark
@@ -38,8 +38,9 @@ test:
 # warm-up) and the metrics registry storm (concurrent updates racing a
 # scraper) — the tests most sensitive to timing, so they get extra
 # iterations beyond the single tier-1 pass. It ends with a short
-# coverage-guided fuzz pass over each wire decoder and over job-journal
-# replay (tier-1 replays only their committed seed corpora).
+# coverage-guided fuzz pass over each wire decoder, over job-journal
+# replay and over plan-store loading (tier-1 replays only their
+# committed seed corpora).
 chaos:
 	$(GO) test -race -count=3 \
 		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestTrainRoundsStayInternal|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm' \
@@ -53,6 +54,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildSweepRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildTrainRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime=10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanStore$$' -fuzztime=10s ./internal/sched
 
 # bench runs the perf-tracking benchmarks with allocation stats.
 bench:
@@ -70,5 +72,12 @@ perfgate:
 	$(GO) run ./cmd/jossbench -reuse -benchout BENCH_perfgate.json bench
 	$(GO) run ./cmd/perfgate -baseline $(PERF_BASELINE) BENCH_perfgate.json
 
+# profile-fig8 writes the CPU profile of BenchmarkFig8 (5 s) to
+# fig8.cpu.prof, keeps the test binary beside it as fig8.test for
+# symbol lookup, and prints the 25 functions with the most flat samples.
+profile-fig8:
+	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$' -benchtime 5s -cpuprofile fig8.cpu.prof -o fig8.test .
+	$(GO) tool pprof -top -nodecount=25 fig8.test fig8.cpu.prof
+
 clean:
-	rm -f BENCH_perfgate.json
+	rm -f BENCH_perfgate.json fig8.cpu.prof fig8.test

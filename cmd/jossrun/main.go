@@ -223,7 +223,11 @@ func main() {
 	case strings.EqualFold(*schedName, "JOSS+MAXP"):
 		s = sched.NewJOSSMaxP(e.Set)
 	default:
-		s = e.NewScheduler(*schedName)
+		if s, err = e.Session().ParseScheduler(*schedName); err != nil {
+			fmt.Fprintf(os.Stderr, "jossrun: %v; available: %s\n",
+				err, strings.Join(service.SchedulerCatalog, ", "))
+			os.Exit(exitUsage)
+		}
 	}
 
 	if *planStore != "" {

@@ -21,6 +21,8 @@ type Kernel struct {
 	Demand platform.TaskDemand
 	// Index is the kernel's position in its graph's kernel list.
 	Index int
+	// tasks is the number of tasks of this kernel added so far.
+	tasks int
 }
 
 // Task is one vertex of the application DAG.
@@ -68,7 +70,6 @@ type Graph struct {
 	Tasks   []*Task
 
 	kernelByName map[string]*Kernel
-	kernelCount  map[*Kernel]int
 
 	// taskChunks and edgeChunks are chunked backing stores for tasks
 	// and initial Succs/Preds slices: large graphs (SLU at paper scale
@@ -151,7 +152,6 @@ func New(name string) *Graph {
 	return &Graph{
 		Name:         name,
 		kernelByName: make(map[string]*Kernel),
-		kernelCount:  make(map[*Kernel]int),
 	}
 }
 
@@ -166,7 +166,6 @@ func (g *Graph) Reuse(name string) {
 	g.Kernels = g.Kernels[:0]
 	g.Tasks = g.Tasks[:0]
 	clear(g.kernelByName)
-	clear(g.kernelCount)
 	g.taskUsed = 0
 	g.edgeUsed = 0
 	g.baseValid = false
@@ -204,8 +203,8 @@ func (g *Graph) AddTask(k *Kernel, preds ...*Task) *Task {
 	g.baseValid = false
 	t.ID = len(g.Tasks)
 	t.Kernel = k
-	t.Seq = g.kernelCount[k]
-	g.kernelCount[k]++
+	t.Seq = k.tasks
+	k.tasks++
 	g.Tasks = append(g.Tasks, t)
 	for _, p := range preds {
 		g.AddDep(p, t)
@@ -273,7 +272,7 @@ func (g *Graph) BaseState() ([]int32, []*Task) {
 func (g *Graph) NumTasks() int { return len(g.Tasks) }
 
 // KernelTaskCount returns the number of tasks of kernel k.
-func (g *Graph) KernelTaskCount(k *Kernel) int { return g.kernelCount[k] }
+func (g *Graph) KernelTaskCount(k *Kernel) int { return k.tasks }
 
 // CriticalPathLen returns the number of tasks on the longest path.
 func (g *Graph) CriticalPathLen() int {

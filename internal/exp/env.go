@@ -204,7 +204,7 @@ func (e *Env) sweep(jobs []sweepJob) map[string]map[string]taskrt.Report {
 // the first process starts cold, trains, and saves. Returns the
 // number of plans loaded.
 func (e *Env) LoadPlanStore(path string) (int, error) {
-	return e.Plans.LoadFile(path)
+	return e.Plans.LoadFile(path, e.Oracle.Spec)
 }
 
 // SavePlanStore writes e.Plans to a versioned plan store with
@@ -213,7 +213,7 @@ func (e *Env) LoadPlanStore(path string) (int, error) {
 // sharing one store never drop each other's plans and a concurrent
 // LoadPlanStore never observes a torn file.
 func (e *Env) SavePlanStore(path string) error {
-	return e.Plans.SaveFileMerged(path)
+	return e.Plans.SaveFileMerged(path, e.Oracle.Spec)
 }
 
 // EnergyOf returns the report's sensor-sampled energy, falling back to

@@ -36,6 +36,12 @@ type ClusterState struct {
 	pending int // requested frequency index while transitioning
 	inFlite bool
 	coreIDs []int
+
+	// powerW caches ClusterPowerW, valid while powerFC == FC: a core
+	// change sets powerFC to -1, and keying on FC keeps the cache right
+	// when FC is written directly.
+	powerW  float64
+	powerFC int
 }
 
 // CoreIDs returns the global core IDs belonging to the cluster.
@@ -55,6 +61,11 @@ type Machine struct {
 	fmFlite  bool
 
 	cores []coreState
+
+	// memW caches MemPowerW, valid while memFM == fm (-1 after a core
+	// change), for the same reason as ClusterState.powerW.
+	memW  float64
+	memFM int
 
 	// TransitionsCPU and TransitionsMem count completed frequency
 	// changes (a request for the current frequency is a no-op and
@@ -88,10 +99,10 @@ func (h *memFreqHandler) OnEvent(int, any) { h.m.completeMemFreq() }
 // and the memory at their highest frequencies (paper §6.1: frequencies
 // are set to max before executing a benchmark).
 func NewMachine(eng *sim.Engine, o *Oracle) *Machine {
-	m := &Machine{Eng: eng, O: o, Spec: o.Spec, fm: MaxFM}
+	m := &Machine{Eng: eng, O: o, Spec: o.Spec, fm: MaxFM, memFM: -1}
 	id := 0
 	for ci, cs := range o.Spec.Clusters {
-		st := &ClusterState{Spec: cs, FC: MaxFC}
+		st := &ClusterState{Spec: cs, FC: MaxFC, powerFC: -1}
 		for k := 0; k < cs.NumCores; k++ {
 			st.coreIDs = append(st.coreIDs, id)
 			m.cores = append(m.cores, coreState{cluster: ci})
@@ -119,8 +130,10 @@ func (m *Machine) Reset() {
 		cl.FC = MaxFC
 		cl.pending = 0
 		cl.inFlite = false
+		cl.powerFC = -1
 	}
 	m.fm = MaxFM
+	m.memFM = -1
 	m.fmPend = 0
 	m.fmFlite = false
 	for i := range m.cores {
@@ -156,6 +169,7 @@ func (m *Machine) FC(cluster int) int { return m.Clusters[cluster].FC }
 // integrates energy up to now first.
 func (m *Machine) SetCoreBusy(core int, occ CoreOccupancy) {
 	m.Meter.advance()
+	m.invalidate(core)
 	m.cores[core].busy = true
 	m.cores[core].occ = occ
 }
@@ -163,6 +177,7 @@ func (m *Machine) SetCoreBusy(core int, occ CoreOccupancy) {
 // SetCoreIdle marks a core idle.
 func (m *Machine) SetCoreIdle(core int) {
 	m.Meter.advance()
+	m.invalidate(core)
 	m.cores[core].busy = false
 	m.cores[core].occ = CoreOccupancy{}
 }
@@ -174,7 +189,15 @@ func (m *Machine) UpdateOccupancy(core int, occ CoreOccupancy) {
 		panic(fmt.Sprintf("platform: UpdateOccupancy on idle core %d", core))
 	}
 	m.Meter.advance()
+	m.invalidate(core)
 	m.cores[core].occ = occ
+}
+
+// invalidate drops the cached power of a core's cluster and of the
+// memory, whose access power sums over busy cores.
+func (m *Machine) invalidate(core int) {
+	m.Clusters[m.cores[core].cluster].powerFC = -1
+	m.memFM = -1
 }
 
 // CoreBusy reports whether the core is currently executing.
@@ -272,9 +295,19 @@ func (m *Machine) completeMemFreq() {
 
 // ClusterPowerW returns the instantaneous power of one cluster:
 // uncore + per-core leakage + idle-or-busy dynamic power at the
-// cluster's current frequency.
+// cluster's current frequency. The value is cached until the
+// cluster's cores or frequency change.
 func (m *Machine) ClusterPowerW(cluster int) float64 {
 	cl := m.Clusters[cluster]
+	if cl.powerFC != cl.FC {
+		cl.powerW = m.clusterPowerW(cl)
+		cl.powerFC = cl.FC
+	}
+	return cl.powerW
+}
+
+// clusterPowerW computes ClusterPowerW from scratch.
+func (m *Machine) clusterPowerW(cl *ClusterState) float64 {
 	cp := m.O.Core[cl.Spec.Type]
 	f := CPUFreqsGHz[cl.FC]
 	v := cpuVolt[cl.FC]
@@ -301,8 +334,18 @@ func (m *Machine) CPUPowerW() float64 {
 
 // MemPowerW returns the instantaneous memory-subsystem power:
 // background at the current memory frequency plus the access power
-// drawn by busy cores.
+// drawn by busy cores. The value is cached until a core or the memory
+// frequency changes.
 func (m *Machine) MemPowerW() float64 {
+	if m.memFM != m.fm {
+		m.memW = m.memPowerW()
+		m.memFM = m.fm
+	}
+	return m.memW
+}
+
+// memPowerW computes MemPowerW from scratch.
+func (m *Machine) memPowerW() float64 {
 	acc := 0.0
 	for i := range m.cores {
 		if m.cores[i].busy {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"joss/internal/sim"
@@ -216,5 +217,56 @@ func TestMeterResetClearsAccounts(t *testing.T) {
 	}
 	if m.Meter.Elapsed() != 0 {
 		t.Fatalf("Elapsed after reset = %v, want 0", m.Meter.Elapsed())
+	}
+}
+
+// TestCachedPowerMatchesRecomputation drives a machine through random
+// busy/idle/occupancy changes, DVFS transitions, direct FC/fm writes,
+// meter samples and Resets, and asserts after every step that the
+// cached CPUPowerW and MemPowerW equal a from-scratch recomputation
+// bit for bit.
+func TestCachedPowerMatchesRecomputation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	eng, m := newTestMachine()
+	m.Meter.StartSensor()
+	occ := func() CoreOccupancy {
+		return CoreOccupancy{EffAct: rng.Float64(), MemAccessW: rng.Float64() * 0.3}
+	}
+	for step := 0; step < 5000; step++ {
+		core := rng.Intn(m.NumCores())
+		switch rng.Intn(9) {
+		case 0, 1:
+			m.SetCoreBusy(core, occ())
+		case 2, 3:
+			m.SetCoreIdle(core)
+		case 4:
+			if m.CoreBusy(core) {
+				m.UpdateOccupancy(core, occ())
+			}
+		case 5:
+			m.RequestClusterFreq(rng.Intn(len(m.Clusters)), rng.Intn(NumCPUFreqs))
+			m.RequestMemFreq(rng.Intn(NumMemFreqs))
+		case 6:
+			m.Clusters[rng.Intn(len(m.Clusters))].FC = rng.Intn(NumCPUFreqs)
+			m.fm = rng.Intn(NumMemFreqs)
+		case 7:
+			eng.RunUntil(eng.Now() + rng.Float64()*2e-4)
+		default:
+			if rng.Intn(50) == 0 {
+				eng.Reset()
+				m.Reset()
+				m.Meter.StartSensor()
+			}
+		}
+		cpu := 0.0
+		for _, cl := range m.Clusters {
+			cpu += m.clusterPowerW(cl)
+		}
+		if got := m.CPUPowerW(); math.Float64bits(got) != math.Float64bits(cpu) {
+			t.Fatalf("step %d: cached CPUPowerW = %v, recomputed %v", step, got, cpu)
+		}
+		if got, want := m.MemPowerW(), m.memPowerW(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: cached MemPowerW = %v, recomputed %v", step, got, want)
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"joss/internal/platform"
 )
 
 // TestPlanStoreLockSurvivesCrashedWriter is the satellite's point: a
@@ -39,7 +41,7 @@ func TestPlanStoreLockSurvivesCrashedWriter(t *testing.T) {
 	pc := NewPlanCache()
 	pc.Store(storeKey("kern_crash", "JOSS", 1), storePlan(1))
 	start := time.Now()
-	if err := pc.SaveFileMerged(path); err != nil {
+	if err := pc.SaveFileMerged(path, platform.TX2()); err != nil {
 		t.Fatalf("save after crashed writer: %v", err)
 	}
 	// Acquisition must be immediate (no timeout-and-operator cycle);
@@ -49,7 +51,7 @@ func TestPlanStoreLockSurvivesCrashedWriter(t *testing.T) {
 	}
 
 	reload := NewPlanCache()
-	if n, err := reload.LoadFile(path); err != nil || n != 1 {
+	if n, err := reload.LoadFile(path, platform.TX2()); err != nil || n != 1 {
 		t.Fatalf("store after crash recovery: %d plans, err %v", n, err)
 	}
 }
@@ -76,7 +78,7 @@ func TestPlanStoreLockBlocksLiveHolder(t *testing.T) {
 
 	pc := NewPlanCache()
 	pc.Store(storeKey("kern_live", "JOSS", 1), storePlan(1))
-	err = pc.SaveFileMerged(path)
+	err = pc.SaveFileMerged(path, platform.TX2())
 	if err == nil || !strings.Contains(err.Error(), lock) {
 		t.Fatalf("save under a live lock holder: err = %v, want timeout naming %s", err, lock)
 	}
@@ -85,7 +87,7 @@ func TestPlanStoreLockBlocksLiveHolder(t *testing.T) {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_UN); err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.SaveFileMerged(path); err != nil {
+	if err := pc.SaveFileMerged(path, platform.TX2()); err != nil {
 		t.Fatalf("save after release: %v", err)
 	}
 }

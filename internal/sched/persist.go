@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"joss/internal/platform"
 )
 
 // The §5.1 sampling phase and the §5.2 configuration search are pure
@@ -78,8 +80,11 @@ func (s *planEntrySorter) Swap(i, j int) {
 // number of plans read. Existing entries win over loaded ones (the
 // same first-writer-wins rule as Store), so loading never clobbers
 // plans the process has already trained. Version mismatches and
-// malformed stores are rejected without touching the cache.
-func (pc *PlanCache) Load(r io.Reader) (int, error) {
+// malformed stores — including any plan whose configuration is
+// outside spec's knob ranges, or a coarsened plan without a batch,
+// either of which would crash the first run adopting it — are
+// rejected whole without touching the cache.
+func (pc *PlanCache) Load(r io.Reader, spec platform.Spec) (int, error) {
 	var ps persistPlanStore
 	if err := json.NewDecoder(r).Decode(&ps); err != nil {
 		return 0, fmt.Errorf("sched: decoding plan store: %w", err)
@@ -91,6 +96,14 @@ func (pc *PlanCache) Load(r io.Reader) (int, error) {
 	for _, e := range ps.Plans {
 		if e.Key.Kernel == "" {
 			return 0, fmt.Errorf("sched: plan store entry with empty kernel name")
+		}
+		if !e.Plan.Cfg.Valid(spec) {
+			return 0, fmt.Errorf("sched: plan store entry for kernel %q has invalid configuration %+v",
+				e.Key.Kernel, e.Plan.Cfg)
+		}
+		if e.Plan.Fine && e.Plan.Batch < 1 {
+			return 0, fmt.Errorf("sched: plan store entry for kernel %q has batch %d",
+				e.Key.Kernel, e.Plan.Batch)
 		}
 	}
 	pc.mu.Lock()
@@ -106,7 +119,7 @@ func (pc *PlanCache) Load(r io.Reader) (int, error) {
 // LoadFile merges a plan store file into the cache (see Load). A
 // missing file is not an error — the first process starts cold, trains
 // and saves. Returns the number of plans read.
-func (pc *PlanCache) LoadFile(path string) (int, error) {
+func (pc *PlanCache) LoadFile(path string, spec platform.Spec) (int, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
@@ -115,7 +128,7 @@ func (pc *PlanCache) LoadFile(path string) (int, error) {
 		return 0, fmt.Errorf("sched: opening plan store: %w", err)
 	}
 	defer f.Close()
-	return pc.Load(f)
+	return pc.Load(f, spec)
 }
 
 // Lock-file parameters for SaveFileMerged: how long one writer waits
@@ -143,15 +156,16 @@ const storeLockRetry = 2 * time.Millisecond
 // are adopted, first-writer-wins keeps the in-memory ones), then
 // writes the merged set to a temp file and atomically renames it over
 // path, so concurrent readers never observe a torn store. The cache
-// itself gains any plans other writers published.
-func (pc *PlanCache) SaveFileMerged(path string) error {
+// itself gains any plans other writers published; the store on disk is
+// validated against spec as by Load.
+func (pc *PlanCache) SaveFileMerged(path string, spec platform.Spec) error {
 	unlock, err := acquireStoreLock(path + ".lock")
 	if err != nil {
 		return err
 	}
 	defer unlock()
 
-	if _, err := pc.LoadFile(path); err != nil {
+	if _, err := pc.LoadFile(path, spec); err != nil {
 		return fmt.Errorf("sched: merging plan store: %w", err)
 	}
 	dir := filepath.Dir(path)

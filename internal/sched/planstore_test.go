@@ -65,7 +65,7 @@ func TestPlanStoreRoundTrip(t *testing.T) {
 	}
 
 	loaded := NewPlanCache()
-	n, err := loaded.Load(bytes.NewReader(buf.Bytes()))
+	n, err := loaded.Load(bytes.NewReader(buf.Bytes()), platform.TX2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,48 @@ func TestPlanStoreVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := NewPlanCache()
-	if _, err := pc.Load(bytes.NewReader(raw)); err == nil {
+	if _, err := pc.Load(bytes.NewReader(raw), platform.TX2()); err == nil {
 		t.Fatal("version 99 store accepted")
 	} else if !strings.Contains(err.Error(), "version") {
 		t.Fatalf("error does not mention the version: %v", err)
 	}
 	if pc.Len() != 0 {
 		t.Fatal("rejected store still populated the cache")
+	}
+}
+
+// TestPlanStoreRejectsInvalidPlans asserts Load refuses a whole store
+// when any entry's plan would crash the run adopting it — a
+// configuration outside the platform's knob ranges, or a coarsened
+// plan without a batch — and leaves the cache untouched.
+func TestPlanStoreRejectsInvalidPlans(t *testing.T) {
+	bad := map[string]func(*CachedPlan){
+		"NC 99":     func(p *CachedPlan) { p.Cfg.NC = 99 },
+		"NC 3":      func(p *CachedPlan) { p.Cfg.NC = 3 },
+		"FC 99":     func(p *CachedPlan) { p.Cfg.FC = 99 },
+		"FM 99":     func(p *CachedPlan) { p.Cfg.FM = 99 },
+		"FM -1":     func(p *CachedPlan) { p.Cfg.FM = -1 },
+		"TC 7":      func(p *CachedPlan) { p.Cfg.TC = 7 },
+		"batch 0":   func(p *CachedPlan) { p.Batch = 0 },
+		"batch -20": func(p *CachedPlan) { p.Batch = -20 },
+	}
+	for name, mutate := range bad {
+		src := NewPlanCache()
+		src.Store(storeKey("jacobi", "JOSS", 1), storePlan(1))
+		p := storePlan(2)
+		mutate(&p)
+		src.Store(storeKey("mm_tile", "JOSS", 1), p)
+		var buf bytes.Buffer
+		if err := src.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		pc := NewPlanCache()
+		if _, err := pc.Load(&buf, platform.TX2()); err == nil {
+			t.Errorf("%s: store accepted", name)
+		}
+		if pc.Len() != 0 {
+			t.Errorf("%s: rejected store still populated the cache", name)
+		}
 	}
 }
 
@@ -122,7 +157,7 @@ func TestPlanStoreConcurrentMergedWriters(t *testing.T) {
 			for p := 0; p < plansPer; p++ {
 				pc.Store(storeKey(fmt.Sprintf("kern_%d_%d", w, p), "JOSS", 1), storePlan(p))
 			}
-			errs[w] = pc.SaveFileMerged(path)
+			errs[w] = pc.SaveFileMerged(path, platform.TX2())
 		}(w)
 	}
 	wg.Wait()
@@ -133,7 +168,7 @@ func TestPlanStoreConcurrentMergedWriters(t *testing.T) {
 	}
 
 	final := NewPlanCache()
-	n, err := final.LoadFile(path)
+	n, err := final.LoadFile(path, platform.TX2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +197,13 @@ func TestPlanStoreMergedWriterAdoptsDiskPlans(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.json")
 	other := NewPlanCache()
 	other.Store(storeKey("theirs", "JOSS", 1), storePlan(1))
-	if err := other.SaveFileMerged(path); err != nil {
+	if err := other.SaveFileMerged(path, platform.TX2()); err != nil {
 		t.Fatal(err)
 	}
 
 	mine := NewPlanCache()
 	mine.Store(storeKey("mine", "JOSS", 1), storePlan(2))
-	if err := mine.SaveFileMerged(path); err != nil {
+	if err := mine.SaveFileMerged(path, platform.TX2()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := mine.Lookup(storeKey("theirs", "JOSS", 1)); !ok {
@@ -194,7 +229,7 @@ func TestPlanStoreLoadFirstWriterWins(t *testing.T) {
 
 	pc := NewPlanCache()
 	pc.Store(k, storePlan(4))
-	if _, err := pc.Load(&buf); err != nil {
+	if _, err := pc.Load(&buf, platform.TX2()); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := pc.Lookup(k)

@@ -20,7 +20,7 @@ var (
 	eraseG    ERASETable
 )
 
-func testModels(t *testing.T) (*platform.Oracle, *models.Set, ERASETable) {
+func testModels(t testing.TB) (*platform.Oracle, *models.Set, ERASETable) {
 	t.Helper()
 	trainOnce.Do(func() {
 		oracleG = platform.DefaultOracle()

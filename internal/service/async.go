@@ -339,7 +339,7 @@ func (s *Session) finalize(h *JobHandle) {
 		s.saveMu.Unlock()
 	}
 	if flush {
-		res.PlanStoreErr = h.plans.SaveFileMerged(s.storePath)
+		res.PlanStoreErr = h.plans.SaveFileMerged(s.storePath, s.oracle.Spec)
 		if res.PlanStoreErr == nil && h.plans == s.plans {
 			s.saveMu.Lock()
 			// SaveFileMerged may also have adopted disk plans, so the

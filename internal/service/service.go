@@ -237,7 +237,7 @@ func New(cfg Config) (*Session, error) {
 		s.pool.SetMetrics(dispatch.NewMetrics(s.registry, s.pool))
 	}
 	if s.storePath != "" {
-		if _, err := s.plans.LoadFile(s.storePath); err != nil {
+		if _, err := s.plans.LoadFile(s.storePath, s.oracle.Spec); err != nil {
 			return nil, err
 		}
 		// Everything loaded from the store is, by definition, already
@@ -296,7 +296,7 @@ func (s *Session) flushIfStale() error {
 	// The flush itself runs outside saveMu (SaveFileMerged may wait up
 	// to 10 s on a contended flock); the post-save length update mirrors
 	// finalize's.
-	if err := s.plans.SaveFileMerged(s.storePath); err != nil {
+	if err := s.plans.SaveFileMerged(s.storePath, s.oracle.Spec); err != nil {
 		return err
 	}
 	s.saveMu.Lock()
@@ -344,7 +344,7 @@ func (s *Session) SavePlanStore() error {
 	if s.storePath == "" {
 		return nil
 	}
-	return s.plans.SaveFileMerged(s.storePath)
+	return s.plans.SaveFileMerged(s.storePath, s.oracle.Spec)
 }
 
 // Close flushes the plan store a final time and closes the job

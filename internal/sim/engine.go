@@ -8,10 +8,17 @@
 // garbage collector or goroutine scheduler and makes every experiment
 // bit-for-bit reproducible.
 //
-// The event queue is an inlined, monomorphic 4-ary min-heap over
-// *Event ordered by (time, sequence), and fired events are recycled
-// through a free list, so steady-state scheduling via At/After (and
-// the closure-free AtEvent/AfterEvent) performs no allocations.
+// Events fire in (time, sequence) order. The queue holds them in three
+// places: a FIFO lane for events due now (zero-delay wakes), a FIFO
+// lane for events due the caller's fixed delay from now (SetFixedDelay;
+// the runtime's per-task dispatch cost), and an inlined, monomorphic
+// 4-ary min-heap for everything else. The clock never runs backwards
+// and float addition is monotone, so each lane is already sorted by
+// (time, sequence); popping the least of the heap top and the two lane
+// heads therefore yields exactly the order one heap would. Fired events
+// are recycled through a free list and the lanes' rings are reused, so
+// steady-state scheduling via At/After (and the closure-free
+// AtEvent/AfterEvent) performs no allocations.
 package sim
 
 import (
@@ -63,8 +70,40 @@ type Engine struct {
 	now       float64
 	seq       uint64
 	pq        []*Event // 4-ary min-heap ordered by (at, seq)
+	lanes     [2]lane  // events due at now; events due at now+delay
+	delay     float64  // lane 1's fixed delay
 	free      []*Event // recycled events
 	processed uint64
+}
+
+// heapSrc identifies the heap to next/take; lanes are 0 and 1.
+const heapSrc = -1
+
+// lane is a growable FIFO ring of events scheduled in (at, seq) order.
+type lane struct {
+	buf  []*Event // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (l *lane) push(ev *Event) {
+	if l.n == len(l.buf) {
+		buf := make([]*Event, max(2*len(l.buf), 64))
+		for i := 0; i < l.n; i++ {
+			buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+func (l *lane) pop() *Event {
+	ev := l.buf[l.head]
+	l.buf[l.head] = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return ev
 }
 
 // New returns an engine with the clock at zero.
@@ -80,7 +119,24 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events currently scheduled (including
 // cancelled events not yet reaped).
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return len(e.pq) + e.lanes[0].n + e.lanes[1].n }
+
+// SetFixedDelay tells the engine the delay its caller schedules most
+// events with (the runtime's per-task dispatch cost): an event due
+// exactly that long after Now then joins a FIFO lane instead of the
+// heap. It changes no result — events fire in the same (time,
+// sequence) order either way — only what scheduling costs. Events
+// already in that lane move to the heap when the delay changes, so the
+// lane stays sorted.
+func (e *Engine) SetFixedDelay(d float64) {
+	if d == e.delay {
+		return
+	}
+	for l := &e.lanes[1]; l.n > 0; {
+		e.push(l.pop())
+	}
+	e.delay = d
+}
 
 // less orders events by (time, sequence). The sequence tiebreak makes
 // the order a strict total order, so any correct heap pops events in
@@ -90,6 +146,33 @@ func less(a, b *Event) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// next returns the least queued event and where it is queued (a lane
+// index or heapSrc), or nil when the queue is empty.
+func (e *Engine) next() (*Event, int) {
+	var min *Event
+	src := heapSrc
+	if len(e.pq) > 0 {
+		min = e.pq[0]
+	}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.n > 0 {
+			if ev := l.buf[l.head]; min == nil || less(ev, min) {
+				min, src = ev, i
+			}
+		}
+	}
+	return min, src
+}
+
+// take removes the head of src, as returned by next.
+func (e *Engine) take(src int) {
+	if src == heapSrc {
+		e.pop()
+	} else {
+		e.lanes[src].pop()
+	}
 }
 
 // push inserts ev into the 4-ary heap (sift-up).
@@ -107,7 +190,7 @@ func (e *Engine) push(ev *Event) {
 	e.pq = pq
 }
 
-// pop removes and returns the minimum event (sift-down), or nil.
+// pop removes and returns the heap's minimum event (sift-down), or nil.
 func (e *Engine) pop() *Event {
 	pq := e.pq
 	n := len(pq)
@@ -170,7 +253,9 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// schedule validates t and enqueues a recycled event.
+// schedule validates t and enqueues a recycled event: in lane 0 when
+// it is due now, in lane 1 when it is due the fixed delay from now,
+// otherwise in the heap.
 func (e *Engine) schedule(t float64) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %.9fs before now %.9fs", t, e.now))
@@ -183,7 +268,14 @@ func (e *Engine) schedule(t float64) *Event {
 	ev.cancelled = false
 	ev.seq = e.seq
 	e.seq++
-	e.push(ev)
+	switch {
+	case t == e.now:
+		e.lanes[0].push(ev)
+	case t == e.now+e.delay:
+		e.lanes[1].push(ev)
+	default:
+		e.push(ev)
+	}
 	return ev
 }
 
@@ -228,13 +320,19 @@ func (e *Engine) AfterEvent(d float64, h Handler, i0 int, p0 any) *Event {
 // sequence counter and processed count start over. The pooled events
 // and the heap's backing array are retained, so a reset engine
 // schedules its first events without allocating. Handles to drained
-// events are invalid after Reset, exactly as after firing.
+// events are invalid after Reset, exactly as after firing. The fixed
+// delay is configuration and survives Reset.
 func (e *Engine) Reset() {
 	for i, ev := range e.pq {
 		e.release(ev)
 		e.pq[i] = nil
 	}
 	e.pq = e.pq[:0]
+	for i := range e.lanes {
+		for l := &e.lanes[i]; l.n > 0; {
+			e.release(l.pop())
+		}
+	}
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -248,10 +346,11 @@ func (e *Engine) Reset() {
 // sequence the simulation produced, never of which loop (Run,
 // RunLimit, RunUntil) happened to drain the queue.
 func (e *Engine) Step() bool {
-	ev := e.pop()
+	ev, src := e.next()
 	if ev == nil {
 		return false
 	}
+	e.take(src)
 	e.processed++
 	if ev.cancelled {
 		e.release(ev)
@@ -302,18 +401,18 @@ func (e *Engine) RunLimit(n uint64) uint64 {
 }
 
 func (e *Engine) peek() *Event {
-	for len(e.pq) > 0 {
-		if e.pq[0].cancelled {
-			// Reaping here is the same unit of work as reaping in Step;
-			// count it so Processed does not depend on whether a peek
-			// or a Step drained the cancelled head.
-			e.processed++
-			e.release(e.pop())
-			continue
+	for {
+		ev, src := e.next()
+		if ev == nil || !ev.cancelled {
+			return ev
 		}
-		return e.pq[0]
+		// Reaping here is the same unit of work as reaping in Step;
+		// count it so Processed does not depend on whether a peek or a
+		// Step drained the cancelled head.
+		e.take(src)
+		e.processed++
+		e.release(ev)
 	}
-	return nil
 }
 
 // NextEventTime returns the firing time of the next live event and

@@ -271,18 +271,26 @@ func TestReset(t *testing.T) {
 
 func TestResetRetainsEventPool(t *testing.T) {
 	e := New()
-	// Warm the pool and the heap's backing array.
-	for i := 0; i < 64; i++ {
-		e.After(float64(i), func() {})
-	}
-	e.Run()
-	e.Reset()
+	e.SetFixedDelay(0.5)
+	// Warm the pool, the heap's backing array and both lanes' rings
+	// (delays 0 and 0.5 go to the lanes, the rest to the heap).
 	h := &nopHandler{}
-	allocs := testing.AllocsPerRun(100, func() {
-		e.Reset()
+	burst := func() {
 		for i := 0; i < 32; i++ {
 			e.AfterEvent(float64(i), h, i, nil)
+			e.AfterEvent(0, h, i, nil)
+			e.AfterEvent(0.5, h, i, nil)
 		}
+	}
+	burst()
+	e.Run()
+	e.Reset()
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Reset()
+		burst()
+		e.Step()
+		e.Reset() // drains the lanes and heap into the free list
+		burst()
 		e.Run()
 	})
 	if allocs != 0 {

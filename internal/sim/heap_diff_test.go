@@ -47,9 +47,10 @@ func (h *refHeap) Pop() any {
 }
 
 type refEngine struct {
-	now float64
-	seq uint64
-	pq  refHeap
+	now       float64
+	seq       uint64
+	pq        refHeap
+	processed uint64
 }
 
 func (e *refEngine) at(t float64, id int) *refEvent {
@@ -227,3 +228,198 @@ func TestEventPoolReuse(t *testing.T) {
 		t.Fatalf("steady-state After allocated %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// The methods below complete the reference with the engine's
+// Processed accounting, peeks and RunUntil; fire is called for every
+// live event popped.
+
+func (e *refEngine) pop(fire func(*refEvent)) bool {
+	if len(e.pq) == 0 {
+		return false
+	}
+	ev := heap.Pop(&e.pq).(*refEvent)
+	e.processed++
+	if !ev.cancelled {
+		e.now = ev.at
+		fire(ev)
+	}
+	return true
+}
+
+func (e *refEngine) peek() *refEvent {
+	for len(e.pq) > 0 && e.pq[0].cancelled {
+		heap.Pop(&e.pq)
+		e.processed++
+	}
+	if len(e.pq) == 0 {
+		return nil
+	}
+	return e.pq[0]
+}
+
+func (e *refEngine) runUntil(t float64, fire func(*refEvent)) {
+	for ev := e.peek(); ev != nil && ev.at <= t; ev = e.peek() {
+		e.pop(fire)
+	}
+	if t > e.now {
+		e.now = t
+	}
+}
+
+// TestLaneDifferentialRandomSchedules drives the engine — with its
+// zero-delay and fixed-delay FIFO lanes — and the container/heap
+// reference through the same random operations: zero-delay,
+// fixed-delay and arbitrary-delay events scheduled from outside and
+// from inside callbacks, cancels, Step, RunUntil and NextEventTime
+// peeks, Resets, and a fixed delay that changes across Resets and
+// mid-run. After every operation both must have fired the same events
+// in the same order and agree on the clock, Processed and Pending.
+func TestLaneDifferentialRandomSchedules(t *testing.T) {
+	delays := []float64{1e-6, 3e-7, 0.25, 0}
+	type event struct {
+		id       int
+		at       float64
+		ev       *Event
+		re       *refEvent
+		done     bool // fired or cancelled: the handle may be recycled
+		child    int  // index of the event this one schedules when fired, or -1
+		childD   float64
+		hasKid   bool
+		childHow int // how the child is scheduled: After, At or AfterEvent
+	}
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		eng := New()
+		ref := &refEngine{}
+		fixed := delays[rng.Intn(len(delays))]
+		eng.SetFixedDelay(fixed)
+
+		var events []*event
+		var gotFired, wantFired []int
+
+		// gap draws the delay to a new event: zero, the fixed delay,
+		// small multiples of it, or arbitrary, so that lane and heap
+		// events often tie in time.
+		gap := func() float64 {
+			switch rng.Intn(6) {
+			case 0, 1:
+				return 0
+			case 2, 3:
+				return fixed
+			case 4:
+				return float64(rng.Intn(3)) * fixed
+			default:
+				return rng.Float64() * 1e-6 * float64(rng.Intn(3))
+			}
+		}
+		var schedule func(d float64, how int) *event
+		schedule = func(d float64, how int) *event {
+			x := &event{id: len(events), child: -1}
+			events = append(events, x)
+			// Whether and how a fired event schedules a child is drawn
+			// now, so the reference can replay it without the RNG.
+			if rng.Intn(3) == 0 {
+				x.hasKid, x.childD, x.childHow = true, gap(), rng.Intn(3)
+			}
+			fire := func() {
+				gotFired = append(gotFired, x.id)
+				x.done = true
+				if x.hasKid {
+					x.child = schedule(x.childD, x.childHow).id
+				}
+			}
+			switch how {
+			case 0:
+				x.ev = eng.After(d, fire)
+			case 1:
+				x.ev = eng.At(eng.Now()+d, fire)
+			default:
+				x.ev = eng.AfterEvent(d, handlerFunc(fire), 0, nil)
+			}
+			x.at = x.ev.At()
+			return x
+		}
+		// refFire replays a fired event's callback on the reference:
+		// the engine ran first, so the child already exists.
+		var refFire func(re *refEvent)
+		refFire = func(re *refEvent) {
+			wantFired = append(wantFired, re.id)
+			if x := events[re.id]; x.hasKid {
+				c := events[x.child]
+				c.re = ref.at(c.at, c.id)
+			}
+		}
+
+		for step := 0; step < 400; step++ {
+			var op string
+			switch r := rng.Intn(20); {
+			case r < 7:
+				op = "schedule"
+				x := schedule(gap(), rng.Intn(3))
+				x.re = ref.at(x.at, x.id)
+			case r < 9:
+				op = "cancel"
+				var live []*event
+				for _, x := range events {
+					if !x.done {
+						live = append(live, x)
+					}
+				}
+				if len(live) > 0 {
+					x := live[rng.Intn(len(live))]
+					x.ev.Cancel()
+					x.re.cancelled = true
+					x.done = true
+				}
+			case r < 14:
+				op = "step"
+				if got, want := eng.Step(), ref.pop(refFire); got != want {
+					t.Fatalf("trial %d op %d: Step = %v, reference %v", trial, step, got, want)
+				}
+			case r < 16:
+				op = "peek"
+				got, ok := eng.NextEventTime()
+				want := ref.peek()
+				if ok != (want != nil) || (want != nil && got != want.at) {
+					t.Fatalf("trial %d op %d: NextEventTime = %v,%v, reference %+v", trial, step, got, ok, want)
+				}
+			case r < 18:
+				op = "rununtil"
+				until := eng.Now() + float64(rng.Intn(3))*fixed + rng.Float64()*1e-6
+				eng.RunUntil(until)
+				ref.runUntil(until, refFire)
+			case r < 19:
+				op = "setdelay"
+				fixed = delays[rng.Intn(len(delays))]
+				eng.SetFixedDelay(fixed)
+			default:
+				op = "reset"
+				eng.Reset()
+				ref = &refEngine{}
+				for _, x := range events {
+					x.done = true
+				}
+				if rng.Intn(2) == 0 {
+					fixed = delays[rng.Intn(len(delays))]
+					eng.SetFixedDelay(fixed)
+				}
+			}
+			if len(gotFired) != len(wantFired) {
+				t.Fatalf("trial %d op %d (%s): fired %v, reference %v", trial, step, op, gotFired, wantFired)
+			}
+			for i := range gotFired {
+				if gotFired[i] != wantFired[i] {
+					t.Fatalf("trial %d op %d (%s): fired %v, reference %v", trial, step, op, gotFired, wantFired)
+				}
+			}
+			if eng.Now() != ref.now || eng.Processed() != ref.processed || eng.Pending() != len(ref.pq) {
+				t.Fatalf("trial %d op %d (%s): engine now=%v processed=%d pending=%d, reference now=%v processed=%d pending=%d",
+					trial, step, op, eng.Now(), eng.Processed(), eng.Pending(), ref.now, ref.processed, len(ref.pq))
+			}
+		}
+	}
+}
+
+type handlerFunc func()
+
+func (f handlerFunc) OnEvent(int, any) { f() }

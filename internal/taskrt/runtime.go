@@ -621,6 +621,9 @@ func (rt *Runtime) Run(g *dag.Graph) Report {
 	rt.graph = g
 	rt.remaining = n
 	rt.prepareCaches(g)
+	// Every dispatch without scheduler overhead is delayed by exactly
+	// DispatchOverheadSec: the engine queues those events in a FIFO lane.
+	rt.Eng.SetFixedDelay(rt.Opt.DispatchOverheadSec)
 	rt.Sched.Attach(rt)
 	rt.M.Meter.ConfigureSensor(rt.Opt.SensorPeriodSec, rt.Opt.SensorOff)
 	rt.M.Meter.Reset()
@@ -773,9 +776,12 @@ func (rt *Runtime) stealPool(core int) []int {
 // idleCoreInScope finds an idle core allowed to steal from `from`.
 func (rt *Runtime) idleCoreInScope(from int) (int, bool) {
 	pool := rt.stealPool(from)
-	start := rt.rng.Intn(len(pool))
-	for i := range pool {
-		id := pool[(start+i)%len(pool)]
+	j := rt.rng.Intn(len(pool))
+	for range pool {
+		id := pool[j]
+		if j++; j == len(pool) {
+			j = 0
+		}
 		if id != from && rt.cores[id].exec == nil && rt.cores[id].queue.len() == 0 {
 			return id, true
 		}
@@ -805,9 +811,12 @@ func (rt *Runtime) fetch(id int) {
 	}
 	// Steal.
 	pool := rt.stealPool(id)
-	start := rt.rng.Intn(len(pool))
-	for i := range pool {
-		vid := pool[(start+i)%len(pool)]
+	j := rt.rng.Intn(len(pool))
+	for range pool {
+		vid := pool[j]
+		if j++; j == len(pool) {
+			j = 0
+		}
 		if vid == id {
 			continue
 		}
