@@ -126,7 +126,8 @@ type Scheduler interface {
 	Decide(t *dag.Task) Decision
 	// TaskDone is called when a task completes.
 	TaskDone(rec ExecRecord)
-	// Scope returns the stealing scope.
+	// Scope returns the stealing scope. The runtime reads it once per
+	// Run, after Attach.
 	Scope() StealScope
 }
 
@@ -374,6 +375,7 @@ type Runtime struct {
 	remaining   int
 	stats       Stats
 	graph       *dag.Graph
+	scope       StealScope // Sched.Scope() of the current run
 	finished    bool
 	interrupted bool
 
@@ -625,6 +627,7 @@ func (rt *Runtime) Run(g *dag.Graph) Report {
 	// DispatchOverheadSec: the engine queues those events in a FIFO lane.
 	rt.Eng.SetFixedDelay(rt.Opt.DispatchOverheadSec)
 	rt.Sched.Attach(rt)
+	rt.scope = rt.Sched.Scope()
 	rt.M.Meter.ConfigureSensor(rt.Opt.SensorPeriodSec, rt.Opt.SensorOff)
 	rt.M.Meter.Reset()
 	rt.M.Meter.StartSensor()
@@ -767,7 +770,7 @@ func (rt *Runtime) enqueue(target int, t *dag.Task) {
 // stealPool returns the victim candidates for a core under the current
 // scope. Pools are precomputed — no per-scan allocation.
 func (rt *Runtime) stealPool(core int) []int {
-	if rt.Sched.Scope() == StealAll {
+	if rt.scope == StealAll {
 		return rt.allCores
 	}
 	return rt.byType[rt.M.CoreType(core)]
