@@ -496,18 +496,18 @@ type SweepResult struct {
 // worker is the long-lived execution environment one pool slot owns: a
 // Runtime whose engine, machine, pools and oracle memo are recycled
 // with Reset between runs, a graph whose task/edge arenas are recycled
-// with BuildReuse between cells, and a per-label cache of recyclable
+// with BuildReuse between workloads, and a per-label cache of recyclable
 // schedulers (ModelSched.Reset / sched.RunResetter) — all lazily built
 // on the worker's first unit and retained across jobs.
 type worker struct {
 	rt *taskrt.Runtime
 	g  *dag.Graph
-	// lastJob/lastCell key the graph currently built into the arenas;
-	// jobs interleave on the pool, so the key is ⟨job, cell⟩ rather
-	// than a request-scoped cell index.
-	lastJob  *JobHandle
-	lastCell int
-	scheds   map[string]taskrt.Scheduler
+	// built keys the graph currently built into the arenas by
+	// ⟨workload name, scale⟩, the identity cellFacts memoizes on too, so
+	// the cells of one workload under different schedulers — and
+	// interleaved jobs — share one build.
+	built  costKey
+	scheds map[string]taskrt.Scheduler
 }
 
 // workerAt returns the state slot for a dispatch worker id, growing
@@ -641,17 +641,17 @@ func (s *Session) schedulerFor(w *worker, j Job, req *SweepRequest, plans *sched
 // on the worker's recycled environment, returning the report, the
 // plan-search evaluations the unit performed, and whether the run was
 // aborted mid-simulation by the job's cancel flag. The workload is
-// rebuilt into the worker's arenas only when the unit belongs to a
-// different ⟨job, cell⟩ than the worker's previous one (execution
-// never mutates the graph — per-run task state lives in the runtime's
-// lane — so same-cell units re-run the built DAG as-is, even after an
-// aborted run).
+// rebuilt into the worker's arenas only when the unit's ⟨workload,
+// scale⟩ differs from the worker's previous one (execution never
+// mutates the graph — per-run task state lives in the runtime's lane —
+// so units of the same workload re-run the built DAG as-is, whatever
+// their scheduler, even after an aborted run).
 func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Report, int, bool) {
 	req := &h.req
 	j := req.Jobs[cell]
-	if w.g == nil || w.lastJob != h || w.lastCell != cell {
+	if k := (costKey{j.Workload.Name, req.Scale}); w.g == nil || w.built != k {
 		w.g = j.Workload.BuildReuse(w.g, req.Scale)
-		w.lastJob, w.lastCell = h, cell
+		w.built = k
 	}
 	sc := s.schedulerFor(w, j, req, h.plans)
 	seed := req.Seed + int64(repeat)
