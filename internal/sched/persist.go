@@ -98,8 +98,9 @@ func (pc *PlanCache) Load(r io.Reader, spec platform.Spec) (int, error) {
 			return 0, fmt.Errorf("sched: plan store entry with empty kernel name")
 		}
 		if !e.Plan.Cfg.Valid(spec) {
-			return 0, fmt.Errorf("sched: plan store entry for kernel %q has invalid configuration %+v",
-				e.Key.Kernel, e.Plan.Cfg)
+			c := e.Plan.Cfg // not %v: Config.String indexes the frequency tables
+			return 0, fmt.Errorf("sched: plan store entry for kernel %q has invalid configuration TC %d NC %d FC %d FM %d",
+				e.Key.Kernel, c.TC, c.NC, c.FC, c.FM)
 		}
 		if e.Plan.Fine && e.Plan.Batch < 1 {
 			return 0, fmt.Errorf("sched: plan store entry for kernel %q has batch %d",

@@ -130,6 +130,8 @@ func TestPlanStoreRejectsInvalidPlans(t *testing.T) {
 		pc := NewPlanCache()
 		if _, err := pc.Load(&buf, platform.TX2()); err == nil {
 			t.Errorf("%s: store accepted", name)
+		} else if strings.Contains(err.Error(), "PANIC") {
+			t.Errorf("%s: error message formatting panicked: %v", name, err)
 		}
 		if pc.Len() != 0 {
 			t.Errorf("%s: rejected store still populated the cache", name)
