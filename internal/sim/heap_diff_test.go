@@ -284,7 +284,7 @@ func TestLaneDifferentialRandomSchedules(t *testing.T) {
 		done     bool // fired or cancelled: the handle may be recycled
 		child    int  // index of the event this one schedules when fired, or -1
 		childD   float64
-		hasKid   bool
+		hasChild bool
 		childHow int // how the child is scheduled: After, At or AfterEvent
 	}
 	for trial := 0; trial < 300; trial++ {
@@ -319,12 +319,12 @@ func TestLaneDifferentialRandomSchedules(t *testing.T) {
 			// Whether and how a fired event schedules a child is drawn
 			// now, so the reference can replay it without the RNG.
 			if rng.Intn(3) == 0 {
-				x.hasKid, x.childD, x.childHow = true, gap(), rng.Intn(3)
+				x.hasChild, x.childD, x.childHow = true, gap(), rng.Intn(3)
 			}
 			fire := func() {
 				gotFired = append(gotFired, x.id)
 				x.done = true
-				if x.hasKid {
+				if x.hasChild {
 					x.child = schedule(x.childD, x.childHow).id
 				}
 			}
@@ -344,7 +344,7 @@ func TestLaneDifferentialRandomSchedules(t *testing.T) {
 		var refFire func(re *refEvent)
 		refFire = func(re *refEvent) {
 			wantFired = append(wantFired, re.id)
-			if x := events[re.id]; x.hasKid {
+			if x := events[re.id]; x.hasChild {
 				c := events[x.child]
 				c.re = ref.at(c.at, c.id)
 			}
