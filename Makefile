@@ -33,13 +33,12 @@ test:
 # overload storms, mid-run cancellation, drain refusals, SIGKILL crash
 # recovery, journal replay, the train-vs-lazy differential with its
 # concurrent-train storm, durable DELETE and journaled retention,
-# trainer rounds kept out of the job registry, the fleet fault drills
-# (multi-daemon shard kill, drain spillover, 429 storm, ring-slice
-# warm-up) and the metrics registry storm (concurrent updates racing a
-# scraper) — the tests most sensitive to timing, so they get extra
-# iterations beyond the single tier-1 pass. It ends with a short
-# coverage-guided fuzz pass over each wire decoder, over job-journal
-# replay and over plan-store loading (tier-1 replays only their
+# trainer rounds kept out of the job registry and the metrics registry
+# storm (concurrent updates racing a scraper) — the tests most
+# sensitive to timing, so they get extra iterations beyond the single
+# tier-1 pass. It ends with a short coverage-guided fuzz pass over each
+# wire decoder, over job-journal replay, over plan-store loading and
+# over jossrun's Retry-After parsing (tier-1 replays only their
 # committed seed corpora).
 chaos:
 	$(GO) test -race -count=3 \
@@ -47,14 +46,12 @@ chaos:
 		./internal/service
 	$(GO) test -race -count=3 ./internal/jobstore
 	$(GO) test -race -count=3 -run 'TestCancel' ./internal/taskrt
-	$(GO) test -race -count=3 \
-		-run 'TestFleetSIGKILLDrill|TestFleetShardDeathFailover|TestFleetDrainSpillover|TestFleet429Spillover|TestFleetAllShardsDownDegradedError|TestFleetWarmupDrill|TestFleetHealthPassthroughAndMetrics' \
-		./internal/fleet
 	$(GO) test -race -count=3 -run 'TestRegistryStorm' ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildSweepRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildTrainRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanStore$$' -fuzztime=10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzRetryDelay$$' -fuzztime=10s ./cmd/jossrun
 
 # bench runs the perf-tracking benchmarks with allocation stats.
 bench:

@@ -34,7 +34,8 @@
 // side of the colon may be "all" or empty for the full set; a bare
 // "all" pre-trains everything. -flushevery publishes the plan store on
 // a timer (in addition to the request-count cadence of -saveevery), so
-// fleet peers see freshly trained plans without waiting for traffic.
+// processes sharing the plan store see freshly trained plans without
+// waiting for traffic.
 //
 // -maxjobs/-maxqueue bound admission: excess requests get 429 Too Many
 // Requests with a Retry-After hint instead of queueing without bound.

@@ -1,13 +1,12 @@
-// Shared daemon client of the fleet layer: one Client speaks HTTP to
-// one jossd daemon (TCP or unix socket) and retries transient failures
-// — dial/transport errors, 429 admission refusals, 5xx server states —
-// with jittered exponential backoff honouring the daemon's Retry-After
-// hint. This generalises the retry loop jossrun grew in PR 6 into the
-// package both the CLI and the fleet coordinator build on; exhausted
-// retries surface as a *TransientError carrying the final backoff
-// state, so callers can distinguish "worth retrying later" from a
+package main
+
+// The -connect client: one Client speaks HTTP to one jossd daemon (TCP
+// or unix socket) and retries transient failures — dial/transport
+// errors, 429 admission refusals, 5xx server states — with jittered
+// exponential backoff honouring the daemon's Retry-After hint.
+// Exhausted retries surface as a *TransientError carrying the final
+// backoff state, so exitCode can tell "worth retrying later" from a
 // permanent protocol refusal.
-package fleet
 
 import (
 	"bytes"
@@ -33,8 +32,8 @@ const (
 // TransientError reports a request abandoned after exhausting its
 // retry budget on transient failures. The request may well succeed if
 // reissued later — the daemon was overloaded, draining or unreachable,
-// not rejecting the request itself — which is why callers (jossrun)
-// map it to a distinct "retriable" exit code.
+// not rejecting the request itself — which is why exitCode maps it to
+// a distinct "retriable" exit code.
 type TransientError struct {
 	// Attempts is the total tries made (1 + retries).
 	Attempts int
@@ -80,7 +79,7 @@ type Client struct {
 	// fails fast on the first refusal.
 	Retries int
 	// OnRetry, when non-nil, observes each backoff before the sleep
-	// (jossrun logs it to stderr; the coordinator counts it).
+	// (newRemote logs it to stderr).
 	OnRetry func(err error, delay time.Duration, attempt, retries int)
 }
 
@@ -98,7 +97,7 @@ func NewClient(target string, retries int) (*Client, error) {
 		return &Client{HTTP: &http.Client{Transport: tr}, Base: "http://jossd", Retries: retries}, nil
 	}
 	if !strings.HasPrefix(target, "http://") && !strings.HasPrefix(target, "https://") {
-		return nil, fmt.Errorf("fleet: target wants http://host:port or unix://PATH, got %q", target)
+		return nil, fmt.Errorf("target wants http://host:port or unix://PATH, got %q", target)
 	}
 	return &Client{HTTP: http.DefaultClient, Base: strings.TrimSuffix(target, "/"), Retries: retries}, nil
 }

@@ -1,4 +1,4 @@
-package fleet
+package main
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -264,4 +265,22 @@ func TestRetryDelay(t *testing.T) {
 			t.Fatalf("retryDelay(%d, \"\") = %v, want within [%v, %v]", attempt, d, lo, RetryCap)
 		}
 	}
+}
+
+// FuzzRetryDelay feeds retryDelay arbitrary Retry-After headers and
+// attempt counts: it must never panic, every delay stays within
+// [0, RetryCap], and a canonical decimal N in [0, 5] is honoured as
+// exactly N seconds. Seed corpus: testdata/fuzz/FuzzRetryDelay.
+func FuzzRetryDelay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, retryAfter string, attempt uint16) {
+		d := retryDelay(int(attempt), retryAfter)
+		if d < 0 || d > RetryCap {
+			t.Fatalf("retryDelay(%d, %q) = %v, want within [0, %v]", attempt, retryAfter, d, RetryCap)
+		}
+		if n, err := strconv.Atoi(retryAfter); err == nil && strconv.Itoa(n) == retryAfter && n >= 0 && n <= 5 {
+			if want := time.Duration(n) * time.Second; d != want {
+				t.Fatalf("retryDelay(%d, %q) = %v, want the daemon's %v", attempt, retryAfter, d, want)
+			}
+		}
+	})
 }

@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
-	"joss/internal/fleet"
 	"joss/internal/service"
 )
 
-// newRemote builds the daemon client for a -connect target on the
-// shared fleet retry machinery, narrating each backoff to stderr.
-func newRemote(target string, retries int) (*fleet.Client, error) {
-	c, err := fleet.NewClient(target, retries)
+// newRemote builds the daemon client for a -connect target, narrating
+// each backoff to stderr.
+func newRemote(target string, retries int) (*Client, error) {
+	c, err := NewClient(target, retries)
 	if err != nil {
 		return nil, err
 	}
@@ -26,13 +26,19 @@ func newRemote(target string, retries int) (*fleet.Client, error) {
 	return c, nil
 }
 
-// constrainedName spells the scheduler the way the service parses it:
-// -speedup S becomes "JOSS+<S>X".
-func constrainedName(schedName string, speedup float64) string {
-	if speedup > 1 {
-		return fmt.Sprintf("JOSS+%gX", speedup)
+// splitList parses a comma-separated flag value; empty and "all" both
+// mean "everything" (the daemon fills in the full set).
+func splitList(s string) []string {
+	if s == "" || strings.EqualFold(s, "all") {
+		return nil
 	}
-	return schedName
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // printReport renders one served cell report.
@@ -69,14 +75,14 @@ func decodeOrError(resp *http.Response, okCode int, out any) error {
 // asyncRemote enqueues one run as a fire-and-forget job on the daemon
 // (POST /jobs) and prints the job id — the handle for `jossrun
 // -connect ... -watch ID` or plain curl polling.
-func asyncRemote(target, bench, schedName string, speedup, scale float64, seed int64, repeats, retries int) error {
+func asyncRemote(target, bench, schedName string, scale float64, seed int64, repeats, retries int) error {
 	r, err := newRemote(target, retries)
 	if err != nil {
 		return err
 	}
 	reqBody, err := json.Marshal(service.WireSweepRequest{
 		Benchmarks: []string{bench},
-		Schedulers: []string{constrainedName(schedName, speedup)},
+		Schedulers: []string{schedName},
 		Scale:      scale,
 		Seed:       &seed,
 		Repeats:    repeats,
@@ -150,22 +156,15 @@ func watchRemote(target, jobID string, retries int) error {
 
 // trainRemote posts a pre-training request (POST /train) for the
 // -bench/-sched grid and prints the outcome. -bench/-sched accept
-// comma lists or "all" in this mode, like -fleet.
-func trainRemote(target, benchList, schedList string, speedup, scale float64, seed int64, retries int) error {
+// comma lists or "all" in this mode.
+func trainRemote(target, benchList, schedList string, scale float64, seed int64, retries int) error {
 	r, err := newRemote(target, retries)
 	if err != nil {
 		return err
 	}
-	scheds := splitList(schedList)
-	if speedup > 1 {
-		if len(scheds) != 0 {
-			return fmt.Errorf("-speedup picks the constrained JOSS scheduler; drop -sched or -speedup")
-		}
-		scheds = []string{constrainedName("JOSS", speedup)}
-	}
 	reqBody, err := json.Marshal(service.WireTrainRequest{
 		Benchmarks: splitList(benchList),
-		Schedulers: scheds,
+		Schedulers: splitList(schedList),
 		Scale:      scale,
 		Seed:       &seed,
 	})
@@ -208,14 +207,14 @@ func printTrainResult(target string, res service.WireTrainResult, wall time.Dura
 // — the daemon records a Chrome trace of the simulation (observer-only;
 // the report stays byte-identical) and runRemote writes the returned
 // trace JSON to the file.
-func runRemote(target, bench, schedName string, speedup, scale float64, seed int64, repeats, retries int, traceOut string) error {
+func runRemote(target, bench, schedName string, scale float64, seed int64, repeats, retries int, traceOut string) error {
 	r, err := newRemote(target, retries)
 	if err != nil {
 		return err
 	}
 	reqBody, err := json.Marshal(service.WireRunRequest{
 		Bench:   bench,
-		Sched:   constrainedName(schedName, speedup),
+		Sched:   schedName,
 		Scale:   scale,
 		Seed:    &seed, // pointer on the wire so seed 0 survives the trip
 		Repeats: repeats,

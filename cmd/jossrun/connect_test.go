@@ -6,16 +6,13 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"joss/internal/fleet"
 )
 
 // TestExitCode pins the remote-mode exit contract scripts rely on:
-// transient failures (retries exhausted, degraded fleet sweeps) exit 3
-// so a wrapper can retry, permanent protocol rejections exit 1 so it
-// does not.
+// transient failures (retries exhausted) exit 3 so a wrapper can
+// retry, permanent protocol rejections exit 1 so it does not.
 func TestExitCode(t *testing.T) {
-	transient := &fleet.TransientError{Attempts: 5, Code: http.StatusTooManyRequests, RetryAfter: "2",
+	transient := &TransientError{Attempts: 5, Code: http.StatusTooManyRequests, RetryAfter: "2",
 		Err: fmt.Errorf("daemon refused the request: 429 Too Many Requests")}
 	cases := []struct {
 		name string
@@ -26,8 +23,6 @@ func TestExitCode(t *testing.T) {
 		{"permanent rejection", fmt.Errorf("daemon rejected the request: unknown benchmark"), exitPermanent},
 		{"transient exhausted", transient, exitTransient},
 		{"transient wrapped", fmt.Errorf("sweeping: %w", transient), exitTransient},
-		{"fleet degraded", &fleet.DegradedError{Deg: fleet.Degradation{LostCells: []string{"SLU/JOSS"}}}, exitTransient},
-		{"fleet degraded wrapped", fmt.Errorf("fleet: %w", &fleet.DegradedError{}), exitTransient},
 	}
 	for _, c := range cases {
 		if got := exitCode(c.err); got != c.want {
@@ -40,7 +35,7 @@ func TestExitCode(t *testing.T) {
 // backoff state reach the user on failure — the error string is what
 // jossrun prints before exiting 3.
 func TestTransientErrorStateInMessage(t *testing.T) {
-	te := &fleet.TransientError{
+	te := &TransientError{
 		Attempts:   3,
 		Code:       http.StatusTooManyRequests,
 		RetryAfter: "7",
@@ -55,7 +50,7 @@ func TestTransientErrorStateInMessage(t *testing.T) {
 	}
 }
 
-// TestSplitList covers the -fleet/-bench/-sched comma-list parsing.
+// TestSplitList covers the -train mode's -bench/-sched comma-list parsing.
 func TestSplitList(t *testing.T) {
 	if got := splitList("all"); got != nil {
 		t.Errorf(`splitList("all") = %v, want nil (everything)`, got)
@@ -75,8 +70,8 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-// TestNewRemoteBadTarget asserts target validation still happens at
-// the CLI boundary after the move to the shared fleet client.
+// TestNewRemoteBadTarget asserts target validation happens at the CLI
+// boundary, before any request is made.
 func TestNewRemoteBadTarget(t *testing.T) {
 	if _, err := newRemote("host:8080", 0); err == nil {
 		t.Fatal("newRemote accepted a bare host:port")

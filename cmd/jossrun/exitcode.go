@@ -1,10 +1,6 @@
 package main
 
-import (
-	"errors"
-
-	"joss/internal/fleet"
-)
+import "errors"
 
 // jossrun's remote-mode exit codes. Scripts retrying around the CLI
 // need to know whether trying again can help: a daemon that was
@@ -14,21 +10,18 @@ import (
 const (
 	exitPermanent = 1 // permanent failure: 4xx protocol rejection, bad response
 	exitUsage     = 2 // bad flags or flag combinations
-	exitTransient = 3 // transient retries exhausted or fleet degraded: worth retrying
+	exitTransient = 3 // transient retries exhausted: worth retrying
 )
 
 // exitCode classifies a remote-mode error: exhausted transient retries
-// (*fleet.TransientError, which carries the final Retry-After/backoff
-// state in its message) and incomplete fleet sweeps
-// (*fleet.DegradedError — shards may recover) are retriable; anything
-// else is permanent.
+// (*TransientError, which carries the final Retry-After/backoff state
+// in its message) are retriable; anything else is permanent.
 func exitCode(err error) int {
 	if err == nil {
 		return 0
 	}
-	var te *fleet.TransientError
-	var de *fleet.DegradedError
-	if errors.As(err, &te) || errors.As(err, &de) {
+	var te *TransientError
+	if errors.As(err, &te) {
 		return exitTransient
 	}
 	return exitPermanent

@@ -6,15 +6,15 @@
 //
 //	jossrun [-scale F] [-seed N] [-speedup S] [-planstore FILE] -bench NAME -sched NAME
 //	jossrun -connect URL [-retries N] [-scale F] [-seed N] [-repeats N] [-speedup S] [-traceout FILE] -bench NAME -sched NAME
-//	jossrun -connect URL -async [-retries N] [-scale F] [-seed N] [-repeats N] -bench NAME -sched NAME
+//	jossrun -connect URL -async [-retries N] [-scale F] [-seed N] [-repeats N] [-speedup S] -bench NAME -sched NAME
 //	jossrun -connect URL -watch JOBID
-//	jossrun -connect URL -train [-scale F] [-seed N] [-bench A,B|all] [-sched X,Y|all]
-//	jossrun -fleet URL1,URL2,... [-scale F] [-seed N] [-repeats N] [-metrics] [-bench A,B|all] [-sched X,Y|all]
-//	jossrun -fleet URL1,URL2,... -train [-scale F] [-seed N] [-bench A,B|all] [-sched X,Y|all]
+//	jossrun -connect URL -train [-retries N] [-scale F] [-seed N] [-speedup S] [-bench A,B|all] [-sched X,Y|all]
 //
 // Benchmarks: the 21 Figure 8 configurations (e.g. SLU, MM_256_dop4).
 // Schedulers: GRWS, ERASE, Aequitas, STEER, JOSS, JOSS_NoMemDVFS,
-// JOSS+MAXP, or JOSS with -speedup for a performance constraint.
+// JOSS+MAXP, or JOSS with -speedup for a performance constraint: in
+// every mode, -speedup S > 1 turns -sched JOSS (the default) into
+// JOSS+<S>X, and any other -sched with it is a usage error.
 //
 // With -connect the run is not simulated locally: the request is
 // posted to a jossd daemon (URL http://host:port, or unix://PATH for a
@@ -32,25 +32,15 @@
 // -train pre-trains plans instead of running anything: with -connect
 // it posts the -bench/-sched grid (comma lists or "all") to the
 // daemon's /train endpoint — claim-based single-flight training, so
-// concurrent trainers and sweeps never search the same plan twice —
-// and with -fleet it warms every shard's ring slice in parallel, so a
-// following fleet sweep over the same grid, scale and seed performs
-// zero plan searches on every shard.
+// concurrent trainers and sweeps never search the same plan twice, and
+// a following sweep over the same grid, scale and seed performs zero
+// plan searches. Processes sharing the daemon's -planstore see the
+// trained plans too.
 //
 // Transient failures — the daemon unreachable, 429 when its admission
 // bounds are full, 5xx while it drains — are retried up to -retries
 // times with jittered exponential backoff, honouring the daemon's
 // Retry-After hint; -retries 0 fails fast on the first refusal.
-//
-// -fleet shards one sweep across several daemons: cells are routed by
-// benchmark identity on a consistent hash ring (keeping each daemon's
-// plan cache warm for its kernels), a dead or draining shard's
-// unfinished cells fail over to survivors, an overloaded shard's cells
-// spill to the next ring candidate, and the merged per-cell reports
-// are byte-identical to a single daemon's /sweep response. -bench and
-// -sched accept comma lists or "all" in this mode; -metrics follows
-// the sweep with every shard's /metrics scraped and summed plus the
-// coordinator's own failover counters.
 //
 // -traceout FILE (with -connect) requests the run with ?trace=1: the
 // daemon records a Chrome trace-event log of the simulation — an
@@ -59,9 +49,8 @@
 //
 // Remote-mode exit codes: 1 permanent failure (the daemon rejected the
 // request — retrying cannot help), 2 usage error, 3 transient failure
-// (retries exhausted against an overloaded/unreachable daemon, or a
-// fleet sweep that lost cells — worth retrying; the final Retry-After
-// and backoff state are printed).
+// (retries exhausted against an overloaded/unreachable daemon — worth
+// retrying; the final Retry-After and backoff state are printed).
 package main
 
 import (
@@ -90,32 +79,37 @@ func main() {
 		"path to a persistent plan store shared with jossbench: known plans are adopted (skipping sampling and search) and newly trained ones written back")
 	connect := flag.String("connect", "",
 		"serve the run from a jossd daemon instead of simulating locally (http://host:port, or unix://PATH)")
-	fleetList := flag.String("fleet", "",
-		"shard a sweep across a comma-separated fleet of jossd daemons with failover (-bench/-sched take comma lists or \"all\")")
 	async := flag.Bool("async", false,
 		"with -connect: enqueue the run as a daemon job (POST /jobs) and print its id instead of waiting")
 	watch := flag.String("watch", "",
 		"with -connect: attach to an existing daemon job by id, poll its progress and print the result")
 	train := flag.Bool("train", false,
-		"with -connect: pre-train the -bench/-sched grid's plans on the daemon (POST /train); with -fleet: warm every shard's ring slice")
+		"with -connect: pre-train the -bench/-sched grid's plans on the daemon (POST /train); -bench/-sched take comma lists or \"all\"")
 	repeats := flag.Int("repeats", 1, "with -connect: seeds per cell, averaged on the daemon")
 	retries := flag.Int("retries", 4,
 		"with -connect: retries for transient failures (dial errors, 429 overload, 5xx), with jittered exponential backoff honouring Retry-After")
 	traceRemote := flag.String("traceout", "",
 		"with -connect: request the run with ?trace=1 and write the daemon's Chrome trace-event JSON to this file (single run only)")
-	showMetrics := flag.Bool("metrics", false,
-		"with -fleet: after the sweep, scrape every shard's /metrics?format=json and print the summed fleet-wide series plus the coordinator's joss_fleet_* counters")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file")
 	gantt := flag.Bool("gantt", false, "print a text Gantt chart of the run")
 	dotOut := flag.String("dot", "", "write the task DAG in Graphviz DOT format (truncated to 400 tasks)")
 	flag.Parse()
 
+	if *speedup > 1 {
+		if *schedName != "JOSS" {
+			fmt.Fprintf(os.Stderr, "jossrun: -speedup constrains JOSS; it does not combine with -sched %s\n", *schedName)
+			os.Exit(exitUsage)
+		}
+		// Every mode runs the name the service parses; %g round-trips
+		// the float, so a local run builds the same constraint.
+		*schedName = fmt.Sprintf("JOSS+%gX", *speedup)
+	}
 	if *connect == "" && (*async || *watch != "") {
 		fmt.Fprintln(os.Stderr, "jossrun: -async and -watch are -connect modes (the job lives on a daemon)")
 		os.Exit(exitUsage)
 	}
-	if *train && *connect == "" && *fleetList == "" {
-		fmt.Fprintln(os.Stderr, "jossrun: -train needs -connect (train one daemon) or -fleet (warm every shard's ring slice); local runs train lazily")
+	if *train && *connect == "" {
+		fmt.Fprintln(os.Stderr, "jossrun: -train needs -connect (it trains a daemon's plans); local runs train lazily")
 		os.Exit(exitUsage)
 	}
 	if *train && (*async || *watch != "") {
@@ -136,37 +130,6 @@ func main() {
 			os.Exit(exitUsage)
 		}
 	}
-	if *showMetrics && *fleetList == "" {
-		fmt.Fprintln(os.Stderr, "jossrun: -metrics aggregates a fleet's shards; it needs -fleet (a single daemon is curl /metrics)")
-		os.Exit(exitUsage)
-	}
-	if *fleetList != "" {
-		if *connect != "" || *async || *watch != "" {
-			fmt.Fprintln(os.Stderr, "jossrun: -fleet shards a sweep itself; it does not combine with -connect/-async/-watch")
-			os.Exit(exitUsage)
-		}
-		if *traceOut != "" || *gantt || *dotOut != "" || *planStore != "" {
-			fmt.Fprintln(os.Stderr, "jossrun: -trace/-gantt/-dot/-planstore are local-run options (the daemons own their plan stores)")
-			os.Exit(exitUsage)
-		}
-		targets := splitList(*fleetList)
-		if len(targets) == 0 {
-			fmt.Fprintln(os.Stderr, "jossrun: -fleet wants a comma-separated list of daemon targets")
-			os.Exit(exitUsage)
-		}
-		if *train {
-			if err := fleetWarmup(targets, *benchName, *schedName, *speedup, *scale, *seed); err != nil {
-				fmt.Fprintln(os.Stderr, "jossrun:", err)
-				os.Exit(exitCode(err))
-			}
-			return
-		}
-		if err := fleetSweep(targets, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *showMetrics); err != nil {
-			fmt.Fprintln(os.Stderr, "jossrun:", err)
-			os.Exit(exitCode(err))
-		}
-		return
-	}
 	if *connect != "" {
 		if *traceOut != "" || *gantt || *dotOut != "" || *planStore != "" {
 			fmt.Fprintln(os.Stderr, "jossrun: -trace/-gantt/-dot/-planstore are local-run options (the daemon owns its plan store)")
@@ -181,13 +144,13 @@ func main() {
 		case *async && *watch != "":
 			err = fmt.Errorf("-async enqueues a new job, -watch attaches to an existing one; pick one")
 		case *train:
-			err = trainRemote(*connect, *benchName, *schedName, *speedup, *scale, *seed, *retries)
+			err = trainRemote(*connect, *benchName, *schedName, *scale, *seed, *retries)
 		case *watch != "":
 			err = watchRemote(*connect, *watch, *retries)
 		case *async:
-			err = asyncRemote(*connect, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *retries)
+			err = asyncRemote(*connect, *benchName, *schedName, *scale, *seed, *repeats, *retries)
 		default:
-			err = runRemote(*connect, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *retries, *traceRemote)
+			err = runRemote(*connect, *benchName, *schedName, *scale, *seed, *repeats, *retries, *traceRemote)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jossrun:", err)
@@ -218,8 +181,6 @@ func main() {
 
 	var s taskrt.Scheduler
 	switch {
-	case *speedup > 1:
-		s = sched.NewJOSSConstrained(e.Set, *speedup)
 	case strings.EqualFold(*schedName, "JOSS+MAXP"):
 		s = sched.NewJOSSMaxP(e.Set)
 	default:

@@ -2,40 +2,117 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 
 	"joss/internal/service"
 )
 
+// TestMain lets a test run jossrun's main in a child process of the
+// test binary: JOSSRUN_TEST_ARGS holds the newline-separated arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("JOSSRUN_TEST_ARGS"); ok {
+		os.Args = append([]string{"jossrun"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runJossrun runs `jossrun args...` in a child process and returns its
+// exit code and stderr.
+func runJossrun(t *testing.T, args ...string) (code int, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "JOSSRUN_TEST_ARGS="+strings.Join(args, "\n"))
+	var buf bytes.Buffer
+	cmd.Stderr = &buf
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, buf.String()
+	case errors.As(err, &ee):
+		return ee.ExitCode(), buf.String()
+	}
+	t.Fatalf("running jossrun %v: %v", args, err)
+	return 0, ""
+}
+
 // TestUnknownSchedulerIsUsageError runs a local `jossrun -sched NOPE`
 // in a subprocess: it must exit with the usage code and list the valid
 // scheduler names instead of panicking.
 func TestUnknownSchedulerIsUsageError(t *testing.T) {
-	if os.Getenv("JOSSRUN_TEST_MAIN") == "1" {
-		os.Args = []string{"jossrun", "-bench", "SLU", "-scale", "0.01", "-sched", "NOPE"}
-		main()
-		return
+	code, msg := runJossrun(t, "-bench", "SLU", "-scale", "0.01", "-sched", "NOPE")
+	if code != exitUsage {
+		t.Fatalf("jossrun -sched NOPE: exit code %d, want %d; stderr:\n%s", code, exitUsage, msg)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestUnknownSchedulerIsUsageError$")
-	cmd.Env = append(os.Environ(), "JOSSRUN_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != exitUsage {
-		t.Fatalf("jossrun -sched NOPE: err %v, want exit code %d; stderr:\n%s", err, exitUsage, stderr.String())
-	}
-	msg := stderr.String()
 	if strings.Contains(msg, "panic") || !strings.Contains(msg, `unknown scheduler "NOPE"`) {
 		t.Fatalf("stderr does not report the unknown scheduler cleanly:\n%s", msg)
 	}
 	for _, name := range service.SchedulerCatalog {
 		if !strings.Contains(msg, name) {
 			t.Errorf("stderr does not list scheduler %q:\n%s", name, msg)
+		}
+	}
+}
+
+// TestSpeedupTrainPostsConstrainedJOSS asserts `-train -speedup 1.4`
+// with -sched left at its JOSS default asks the daemon to train
+// exactly the constrained scheduler JOSS+1.4X.
+func TestSpeedupTrainPostsConstrainedJOSS(t *testing.T) {
+	bodies := make(chan service.WireTrainRequest, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/train" {
+			http.NotFound(w, r)
+			return
+		}
+		var req service.WireTrainRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		bodies <- req
+		json.NewEncoder(w).Encode(service.WireTrainResult{})
+	}))
+	defer srv.Close()
+
+	code, stderr := runJossrun(t, "-connect", srv.URL, "-train", "-bench", "SLU", "-speedup", "1.4")
+	if code != 0 {
+		t.Fatalf("jossrun -train -speedup 1.4: exit code %d; stderr:\n%s", code, stderr)
+	}
+	select {
+	case req := <-bodies:
+		if want := []string{"JOSS+1.4X"}; !reflect.DeepEqual(req.Schedulers, want) {
+			t.Errorf("/train schedulers = %q, want %q", req.Schedulers, want)
+		}
+	default:
+		t.Fatal("the daemon never received a /train request")
+	}
+}
+
+// TestSpeedupWithOtherSchedIsUsageError asserts -speedup only
+// constrains JOSS: naming any other scheduler with it exits 2 in local
+// and remote modes alike, before any simulation or request.
+func TestSpeedupWithOtherSchedIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "SLU", "-scale", "0.01", "-sched", "GRWS", "-speedup", "1.4"},
+		{"-connect", "http://127.0.0.1:1", "-sched", "GRWS", "-speedup", "1.4"},
+		{"-connect", "http://127.0.0.1:1", "-train", "-sched", "JOSS,GRWS", "-speedup", "1.4"},
+	} {
+		code, stderr := runJossrun(t, args...)
+		if code != exitUsage {
+			t.Errorf("jossrun %v: exit code %d, want %d; stderr:\n%s", args, code, exitUsage, stderr)
+		}
+		if !strings.Contains(stderr, "-speedup") {
+			t.Errorf("jossrun %v: stderr does not name -speedup:\n%s", args, stderr)
 		}
 	}
 }

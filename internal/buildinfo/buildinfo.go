@@ -7,7 +7,7 @@
 //	  -X joss/internal/buildinfo.Date=$(date -u +%Y-%m-%dT%H:%M:%SZ)" ./cmd/jossd
 //
 // Un-injected builds report "dev" so the fields are always present and
-// a fleet operator can tell a stray developer binary from a release.
+// an operator can tell a stray developer binary from a release.
 package buildinfo
 
 var (

@@ -231,9 +231,8 @@ func (p *Pool) Occupancy() (jobs, queuedUnits int) {
 }
 
 // Load reports the pool's full load triple: jobs in flight,
-// undispatched queued units, and units executing right now. The fleet
-// coordinator reads it through /healthz to break hash-ring ties toward
-// the least-loaded shard.
+// undispatched queued units, and units executing right now. The
+// service reports it through /healthz.
 func (p *Pool) Load() (jobs, queuedUnits, inflightUnits int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -14,8 +14,8 @@
 //
 // The exposition side lives in prom.go: WritePrometheus emits the
 // Prometheus text format (version 0.0.4) and WriteJSON a structured
-// snapshot for programmatic consumers (the fleet client aggregates
-// shards' /metrics?format=json through it).
+// snapshot for programmatic consumers (ParseJSON reads a
+// /metrics?format=json response back).
 package obs
 
 import (
@@ -117,7 +117,7 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 
 // DefBuckets is the default latency layout: 25 µs to ~105 s in
 // alternating ×2/×2.5 steps (1-2.5-5 per decade), wide enough to hold
-// both a sub-millisecond scalar unit and a multi-minute fleet sweep.
+// both a sub-millisecond scalar unit and a multi-minute sweep.
 var DefBuckets = []float64{
 	0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001,
 	0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,

@@ -144,8 +144,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}{Metrics: r.Snapshot()})
 }
 
-// ParseJSON decodes a WriteJSON document — the fleet client uses it to
-// aggregate shards' /metrics?format=json responses.
+// ParseJSON decodes a WriteJSON document, such as a daemon's
+// /metrics?format=json response.
 func ParseJSON(r io.Reader) ([]Point, error) {
 	var doc struct {
 		Metrics []Point `json:"metrics"`

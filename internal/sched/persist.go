@@ -150,8 +150,8 @@ const storeLockRetry = 2 * time.Millisecond
 // writer and readmit exactly the lost update this file prevents.
 
 // SaveFileMerged writes the cache to path with lock-and-merge
-// semantics, so concurrent fleets (and multiple service daemons)
-// sharing one store never drop each other's plans the way a
+// semantics, so concurrent processes (jossbench runs and service
+// daemons) sharing one store never drop each other's plans the way a
 // last-writer-wins rewrite would. Under a sibling .lock file it loads
 // the store currently on disk into the cache (union — disk-only plans
 // are adopted, first-writer-wins keeps the in-memory ones), then

@@ -140,7 +140,7 @@ func TestPlanStoreRejectsInvalidPlans(t *testing.T) {
 }
 
 // TestPlanStoreConcurrentMergedWriters is the lock-and-merge
-// correctness bar: many writers — simulating a fleet of processes
+// correctness bar: many writers — simulating several processes
 // sharing one store — concurrently SaveFileMerged caches holding
 // disjoint plans, and the final store must contain every plan from
 // every writer. The old last-writer-wins rewrite dropped all but one

@@ -318,8 +318,8 @@ func (s *Session) finalize(h *JobHandle) {
 	// Flush when the cache holds plans the store hasn't seen since the
 	// last flush (flushedLen) — regardless of which co-resident job
 	// trained them — and never when nothing changed: a warm steady
-	// state must not rewrite the store per request, serialising the
-	// fleet on its lock. Jobs running on a caller-supplied cache fall
+	// state must not rewrite the store per request, serialising every
+	// process sharing it on its lock. Jobs running on a caller-supplied cache fall
 	// back to their own admission-time snapshot. The flush itself
 	// happens on this goroutine, off every dispatch path:
 	// SaveFileMerged may wait up to 10 s on a contended lock, which

@@ -51,11 +51,10 @@
 //	               schedulers, benchmarks, uptime_sec, workers,
 //	               gomaxprocs, version, commit} —
 //	               jobs/queued_units/inflight_units are the live
-//	               dispatch load, which fleet
-//	               coordinators use to route toward the least-loaded
-//	               shard; plans_trained/training expose the plan
-//	               cache's size and in-flight training claims so fleet
-//	               warm-up progress is observable; uptime/workers/
+//	               dispatch load an operator or e2ebench polls;
+//	               plans_trained/training expose the plan cache's
+//	               size and in-flight training claims so /train
+//	               progress is observable; uptime/workers/
 //	               version identify the process (buildinfo ldflags);
 //	               gomaxprocs next to workers shows whether a
 //	               processor is left free for serving
@@ -63,8 +62,8 @@
 //	               exposition format (joss_dispatch_*, joss_service_*,
 //	               joss_http_*, joss_jobstore_* families, and
 //	               joss_go_sched_latency_seconds from the Go runtime);
-//	               ?format=json returns the structured snapshot the
-//	               fleet client aggregates
+//	               ?format=json returns the structured snapshot
+//	               (obs.ParseJSON decodes it)
 //	POST /run?trace=1
 //	             → the run response plus {trace: <Chrome trace-event
 //	               JSON>} (observer-only recording; repeats <= 1 only)
@@ -908,8 +907,8 @@ func NewHandler(s *Session) http.Handler {
 			"plans_cached": s.Plans().Len(),
 			// plans_trained is plans_cached under its training-era name
 			// (the explicit-training surface reports it); training is
-			// the number of in-flight training claims, so a fleet
-			// coordinator can watch a shard's Warmup progress.
+			// the number of in-flight training claims, so an operator
+			// can watch a /train run's progress.
 			"plans_trained":  s.Plans().Len(),
 			"training":       s.Plans().Training(),
 			"requests":       s.Requests(),
@@ -919,9 +918,8 @@ func NewHandler(s *Session) http.Handler {
 			"draining":       s.Draining(),
 			"schedulers":     SchedulerCatalog,
 			"benchmarks":     names,
-			// Operational identity (PR 10): process age, pool size and
-			// the ldflags-injected build identity, mirrored per shard in
-			// fleet.ShardHealth.
+			// Operational identity: process age, pool size and the
+			// ldflags-injected build identity.
 			"uptime_sec": s.Uptime().Seconds(),
 			"workers":    s.Workers(),
 			"gomaxprocs": runtime.GOMAXPROCS(0),

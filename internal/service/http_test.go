@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -161,12 +162,17 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var health struct {
-		PlansCached   int  `json:"plans_cached"`
-		Requests      int  `json:"requests"`
-		Jobs          int  `json:"jobs"`
-		QueuedUnits   int  `json:"queued_units"`
-		InflightUnits int  `json:"inflight_units"`
-		Draining      bool `json:"draining"`
+		PlansCached   int     `json:"plans_cached"`
+		Requests      int     `json:"requests"`
+		Jobs          int     `json:"jobs"`
+		QueuedUnits   int     `json:"queued_units"`
+		InflightUnits int     `json:"inflight_units"`
+		Draining      bool    `json:"draining"`
+		UptimeSec     float64 `json:"uptime_sec"`
+		Workers       int     `json:"workers"`
+		GOMAXPROCS    int     `json:"gomaxprocs"`
+		Version       string  `json:"version"`
+		Commit        *string `json:"commit"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
@@ -174,10 +180,28 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if health.PlansCached == 0 || health.Requests < 4 {
 		t.Errorf("healthz = %+v, want cached plans and >= 4 requests", health)
 	}
-	// The shard-load fields a fleet coordinator routes on: an idle
-	// session advertises zero load and no drain.
+	// The dispatch-load fields an operator polls: an idle session
+	// advertises zero load and no drain.
 	if health.Jobs != 0 || health.QueuedUnits != 0 || health.InflightUnits != 0 || health.Draining {
 		t.Errorf("healthz load = %+v, want idle undraining session", health)
+	}
+	// Process identity: age, the pool the served requests grew, the
+	// process's GOMAXPROCS and the build identity (commit may be empty
+	// in an un-injected build, but the field is always present).
+	if health.UptimeSec <= 0 {
+		t.Errorf("uptime_sec = %v, want > 0", health.UptimeSec)
+	}
+	if health.Workers <= 0 {
+		t.Errorf("workers = %d after served requests, want > 0", health.Workers)
+	}
+	if want := runtime.GOMAXPROCS(0); health.GOMAXPROCS != want {
+		t.Errorf("gomaxprocs = %d, want the process's %d", health.GOMAXPROCS, want)
+	}
+	if health.Version == "" {
+		t.Error("version is empty, want the build identity (\"dev\" when not injected)")
+	}
+	if health.Commit == nil {
+		t.Error("commit field missing from /healthz")
 	}
 }
 

@@ -100,8 +100,8 @@ type Config struct {
 	// flushes the resident cache (lock-and-merge) whenever it has
 	// outgrown the store since the last flush, even while no requests
 	// complete — so plans trained by a long-running job or an explicit
-	// Train reach sibling fleet shards without waiting for the next
-	// per-request flush. Stopped by Close.
+	// Train reach other processes sharing the plan store without
+	// waiting for the next per-request flush. Stopped by Close.
 	PlanFlushPeriod time.Duration
 	// DisableMetrics builds the session without its obs.Registry: no
 	// metric families are registered, every instrumentation hook is
@@ -375,8 +375,7 @@ func (s *Session) Draining() bool { return s.draining.Load() }
 
 // Load reports the session's dispatch load: jobs in flight, queued
 // (undispatched) units, and units executing right now. /healthz
-// advertises it so a fleet coordinator can route toward the
-// least-loaded shard.
+// advertises it for operators and e2ebench.
 func (s *Session) Load() (jobs, queuedUnits, inflightUnits int) {
 	return s.pool.Load()
 }

@@ -431,7 +431,7 @@ func (s *Session) runTrain(h *TrainHandle) {
 		res.Cancelled = true
 	}
 	// Post-training publication: flush the resident store so sibling
-	// processes (fleet shards merging the same file) see the fresh
+	// processes (daemons merging the same plan store) see the fresh
 	// plans now, not at the next per-request cadence point.
 	if res.Trained > 0 && h.plans == s.plans {
 		res.PlanStoreErr = s.flushIfStale()

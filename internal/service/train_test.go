@@ -116,8 +116,8 @@ func TestTrainThenSweepMatchesLazy(t *testing.T) {
 // TestTrainConcurrentStorm fires several identical Train calls at one
 // shared cache concurrently (run under -race in CI). The claim API's
 // single-flight contract across callers: every distinct PlanKey is
-// searched exactly once fleet-wide — each key lands in exactly one
-// caller's Trained count, the rest see it Cached or Skipped — and no
+// searched exactly once — each key lands in exactly one caller's
+// Trained count, the rest see it Cached or Skipped — and no
 // claim survives the storm.
 func TestTrainConcurrentStorm(t *testing.T) {
 	s := newTestSession(t)
