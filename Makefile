@@ -33,6 +33,8 @@ test:
 # overload storms, mid-run cancellation, drain refusals, SIGKILL crash
 # recovery, journal replay, the train-vs-lazy differential with its
 # concurrent-train storm, durable DELETE and journaled retention,
+# run-unit preemption (the dispatcher's nesting rule and accounting,
+# and the probe storm that runs probes nested in parked sweep units),
 # trainer rounds kept out of the job registry and the metrics registry
 # storm (concurrent updates racing a scraper) — the tests most
 # sensitive to timing, so they get extra iterations beyond the single
@@ -44,6 +46,7 @@ chaos:
 	$(GO) test -race -count=3 \
 		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestTrainRoundsStayInternal|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm' \
 		./internal/service
+	$(GO) test -race -count=3 -run 'TestPreempt|TestAdmitStartsAtMinimumService' ./internal/dispatch
 	$(GO) test -race -count=3 ./internal/jobstore
 	$(GO) test -race -count=3 -run 'TestCancel' ./internal/taskrt
 	$(GO) test -race -count=3 -run 'TestRegistryStorm' ./internal/obs

@@ -39,9 +39,6 @@ type Task struct {
 	// Seq is the kernel-local invocation number (0-based), used by
 	// schedulers for online sampling.
 	Seq int
-	// Decision is runtime-owned scratch: the scheduler's decision for
-	// this task during the current execution.
-	Decision any
 	// DemandScale multiplies this task's ops and bytes relative to
 	// its kernel's base demand (0 means 1.0). It models benchmarks
 	// whose task sizes vary within a kernel (e.g. the Biomarker
@@ -340,7 +337,6 @@ func (g *Graph) Validate() error {
 func (g *Graph) ResetRuntimeState() {
 	for _, t := range g.Tasks {
 		t.npred = 0
-		t.Decision = nil
 	}
 	for _, t := range g.Tasks {
 		for _, s := range t.Succs {

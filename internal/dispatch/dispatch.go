@@ -24,19 +24,34 @@
 // Dispatch order is a wall-clock policy only. Units must be
 // independent of each other and of which worker runs them — the
 // service's run units are independent deterministic simulations — so
-// reordering and interleaving never change results, which is what
-// keeps concurrent submission bit-identical to serial submission.
+// reordering, interleaving and parking never change results, which is
+// what keeps concurrent submission bit-identical to serial submission.
 //
-// Workers are CPU-bound and never yield between claims while units are
-// queued, so a serving process must leave a Go processor (P) beyond
-// its workers for its I/O goroutines, which would otherwise wait out
-// the runtime's 10 ms forced preemption (cmd/jossd runs workers + 1).
+// A claim can give way to a much smaller job. Spec.Run calls
+// Pool.Preempt at its own cooperative polls (the service's runtimes
+// poll every taskrt.CancelPollEvents events). When every worker holds
+// a claim and the job a free worker would serve next both beats the
+// polling worker's job and has less undispatched demand in total than
+// the polling unit's cost, Preempt claims that job's next unit and runs
+// it to completion on the same worker while the polling unit stays
+// parked, then returns so the parked unit resumes where it stopped. A
+// nested unit never nests again, and a large job's units never nest
+// inside a small job's unit, so a short request stops waiting out the
+// longest running claim without parking anything for long. A poll with
+// nothing to preempt is one atomic load.
+//
+// Workers are CPU-bound and never block between claims while units
+// are queued, so a serving process must leave a Go processor (P)
+// beyond its workers for its I/O goroutines, which would otherwise
+// wait out the runtime's 10 ms forced preemption (cmd/jossd runs
+// workers + 1).
 //
 // Cancellation is cooperative and unit-granular: Cancel drops a job's
-// queued units; in-flight units run to completion (a simulation step
-// is not interruptible) and the job finishes once they drain. Callers
-// that can abort a unit mid-run (the service's runtimes poll a cancel
-// flag) layer that on top of Spec.Run.
+// queued units; a claimed unit returns from Run when Run decides to
+// (the service's runtimes poll a cancel flag and abort mid-run) and
+// the job finishes once its claimed units have returned. A parked
+// unit of a cancelled job unwinds after the unit nested on top of it
+// returns.
 //
 // Overload is handled at admission, not by queueing without bound:
 // SetLimits caps the jobs in flight and the queued units across the
@@ -50,6 +65,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -127,9 +143,11 @@ type Spec struct {
 	// milliseconds since session start). Deadlines order work, they
 	// do not expire it.
 	Deadline int64
-	// Run executes one unit on the given worker slot. It is called
-	// from pool worker goroutines, never concurrently for the same
-	// worker id, and must not panic.
+	// Run executes one unit on the given worker. It is called from
+	// pool worker goroutines, never concurrently for the same worker
+	// id, and must not panic. It may call Pool.Preempt(worker) at its
+	// cooperative polls; Run is then re-entered on the same worker, on
+	// the same goroutine, for the nested unit (at most one deep).
 	Run func(worker int, u Unit)
 	// OnCellDone, when non-nil, is called once per cell after the last
 	// of the cell's repeats completes (from the worker goroutine that
@@ -164,6 +182,7 @@ type Job struct {
 	dropped   int
 	cellDone  []int
 	served    float64 // virtual attained service: Σ cost/weight
+	remaining int64   // undispatched demand: Σ cell cost over queue[head:]
 	cancelled bool
 	completed bool
 
@@ -182,9 +201,26 @@ type Pool struct {
 	active  int // admitted, not yet finished (excludes zero-unit jobs)
 	queued  int // undispatched units across all jobs
 	running int // units being executed right now, across all jobs
+	// slots[id] is worker id's claim state; busy counts the workers
+	// holding a claim of their own (nested units excluded).
+	slots []*slot
+	busy  int
+	// pending is the lock-free hint Preempt polls: true when some
+	// worker's own claim should give way right now (see yieldsTo).
+	// Written under mu by updatePending, read without it.
+	pending atomic.Bool
 	// metrics, when non-nil, receives the dispatch-path observations.
 	// Guarded by mu; workers capture it per claim.
 	metrics *Metrics
+}
+
+// slot is one worker's claim state. job, cost and nested are guarded
+// by Pool.mu; stolen is touched only by the worker's own goroutine.
+type slot struct {
+	job    *Job          // job of the worker's own claim; nil while idle
+	cost   int           // that claim's cell cost
+	nested bool          // a nested unit runs with the claim parked
+	stolen time.Duration // wall time of nested units inside the claim
 }
 
 // NewPool builds a pool with the given number of workers (more can be
@@ -203,9 +239,12 @@ func (p *Pool) Grow(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.workers < n {
-		go p.worker(p.workers)
+		ws := &slot{}
+		p.slots = append(p.slots, ws)
+		go p.worker(p.workers, ws)
 		p.workers++
 	}
+	p.updatePending()
 }
 
 // Workers returns the number of worker goroutines.
@@ -231,8 +270,9 @@ func (p *Pool) Occupancy() (jobs, queuedUnits int) {
 }
 
 // Load reports the pool's full load triple: jobs in flight,
-// undispatched queued units, and units executing right now. The
-// service reports it through /healthz.
+// undispatched queued units, and units executing right now — nested
+// units included, so inflightUnits can exceed Workers. The service
+// reports it through /healthz.
 func (p *Pool) Load() (jobs, queuedUnits, inflightUnits int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -307,6 +347,7 @@ func (p *Pool) Admit(spec Spec) (*Job, error) {
 		for r := 0; r < spec.Repeats; r++ {
 			j.queue = append(j.queue, Unit{Cell: c, Repeat: r})
 		}
+		j.remaining += int64(spec.Costs[c]) * int64(spec.Repeats)
 	}
 	j.cellDone = make([]int, spec.Cells)
 
@@ -332,14 +373,15 @@ func (p *Pool) Admit(spec Spec) (*Job, error) {
 	}
 	j.seq = p.nextSeq
 	p.nextSeq++
-	for _, other := range p.jobs {
-		if j.served == 0 || other.served < j.served {
+	for i, other := range p.jobs {
+		if i == 0 || other.served < j.served {
 			j.served = other.served
 		}
 	}
 	p.active++
 	p.queued += total
 	p.jobs = append(p.jobs, j)
+	p.updatePending()
 	m := p.metrics
 	if m != nil {
 		j.admitted = time.Now()
@@ -377,11 +419,10 @@ func beats(a, b *Job) bool {
 	return a.seq > b.seq
 }
 
-// pick selects the next unit under the fair-share policy, or nil when
-// no job has an eligible unit. The returned quantum is the virtual
-// service the dispatching worker must charge for the unit
-// (cost/weight). Called with p.mu held.
-func (p *Pool) pick() (*Job, Unit, float64) {
+// next returns the job whose unit a free worker would claim next
+// under the fair-share policy, or nil when no job has an eligible
+// unit. Called with p.mu held.
+func (p *Pool) next() *Job {
 	var best *Job
 	for _, j := range p.jobs {
 		if j.head >= len(j.queue) || j.inflight >= j.spec.Width {
@@ -391,19 +432,151 @@ func (p *Pool) pick() (*Job, Unit, float64) {
 			best = j
 		}
 	}
-	if best == nil {
-		return nil, Unit{}, 0
-	}
-	u := best.queue[best.head]
-	best.head++
+	return best
+}
+
+// claim dequeues j's next unit and charges it to j — the one
+// claim-accounting path for a worker's own claims and nested ones.
+// Called with p.mu held.
+func (p *Pool) claim(j *Job) Unit {
+	u := j.queue[j.head]
+	j.head++
 	p.queued--
+	cost := j.spec.Costs[u.Cell]
+	j.remaining -= int64(cost)
 	// A zero-cost cell still consumes a worker; floor the quantum at 1
 	// so fair-share accounting always advances.
-	cost := int64(best.spec.Costs[u.Cell])
-	if cost < 1 {
-		cost = 1
+	j.served += float64(max(cost, 1)) / j.weight
+	j.inflight++
+	p.running++
+	if j.head >= len(j.queue) {
+		// Nothing left to dispatch; stop offering the job.
+		p.remove(j)
 	}
-	return best, u, float64(cost) / best.weight
+	return u
+}
+
+// run executes a claimed unit outside the lock and records its
+// metrics. A unit's service time excludes the nested units run inside
+// it, so the per-worker service times never sum past wall time.
+func (p *Pool) run(id int, ws *slot, m *Metrics, j *Job, u Unit, nested bool) {
+	var start time.Time
+	if m != nil {
+		start = time.Now()
+		// Jobs admitted before SetMetrics carry no admission stamp;
+		// skip their queue-wait sample rather than observe garbage.
+		if !j.admitted.IsZero() {
+			m.QueueWait.Observe(start.Sub(j.admitted).Seconds())
+		}
+		if nested {
+			m.Preemptions.Inc()
+		} else {
+			m.WorkersBusy.Inc()
+		}
+	}
+	j.spec.Run(id, u)
+	if m != nil {
+		d := time.Since(start)
+		if nested {
+			ws.stolen += d
+		} else {
+			d -= ws.stolen
+			m.WorkersBusy.Dec()
+		}
+		m.Claims.Inc()
+		m.Service.Observe(d.Seconds())
+		m.UnitsDone.Inc()
+	}
+}
+
+// complete retires a unit whose Run returned. Called with p.mu held;
+// it releases the lock while OnCellDone runs and the job's finished
+// channel closes.
+func (p *Pool) complete(j *Job, u Unit) {
+	j.cellDone[u.Cell]++
+	if j.cellDone[u.Cell] == j.spec.Repeats && j.spec.OnCellDone != nil {
+		// The unit still counts as in flight during OnCellDone, so
+		// the job cannot be observed finished — and Wait cannot
+		// return — while a cell notification is still being
+		// delivered.
+		p.mu.Unlock()
+		j.spec.OnCellDone(u.Cell)
+		p.mu.Lock()
+	}
+	j.inflight--
+	p.running--
+	j.done++
+	finished := j.inflight == 0 && j.head >= len(j.queue) && !j.completed
+	if finished {
+		j.completed = true
+		p.active--
+	}
+	p.updatePending()
+	// A unit completing frees a slot a width-limited sibling job
+	// may have been waiting for.
+	p.cond.Broadcast()
+	if finished {
+		p.mu.Unlock()
+		close(j.finished)
+		p.mu.Lock()
+	}
+}
+
+// yieldsTo reports whether the worker's own claim should give way to
+// job k's next unit: k beats the claim's job, and k's whole
+// undispatched demand is below the claim's cost, so the claim stays
+// parked for less than it would have made k wait. Called with p.mu
+// held.
+func (ws *slot) yieldsTo(k *Job) bool {
+	return ws.job != nil && !ws.nested && beats(k, ws.job) && k.remaining < int64(ws.cost)
+}
+
+// updatePending recomputes the hint Preempt polls. A worker without a
+// claim will serve the next job itself, so nothing preempts unless
+// every worker holds one. Called with p.mu held after every change to
+// the job set, the queues or the workers' claims.
+func (p *Pool) updatePending() {
+	want := false
+	if k := p.next(); k != nil && p.busy == p.workers {
+		for _, ws := range p.slots {
+			if ws.yieldsTo(k) {
+				want = true
+				break
+			}
+		}
+	}
+	p.pending.Store(want)
+}
+
+// Preempt runs, on the calling worker and to completion, the next unit
+// of a much smaller job waiting behind every worker's claim (see the
+// package comment for the rule), then returns so the caller's unit
+// resumes. Call it only from Spec.Run, with the worker id Run was
+// given. When nothing qualifies — the usual case — it costs one atomic
+// load and returns.
+func (p *Pool) Preempt(worker int) {
+	if !p.pending.Load() {
+		return
+	}
+	p.mu.Lock()
+	ws := p.slots[worker]
+	k := p.next()
+	if k == nil || p.busy < p.workers || !ws.yieldsTo(k) {
+		p.mu.Unlock()
+		return
+	}
+	u := p.claim(k)
+	ws.nested = true
+	p.updatePending()
+	m := p.metrics
+	p.mu.Unlock()
+
+	p.run(worker, ws, m, k, u, true)
+
+	p.mu.Lock()
+	ws.nested = false
+	p.complete(k, u)
+	p.mu.Unlock()
 }
 
 // remove drops j from the dispatchable set. Called with p.mu held.
@@ -416,10 +589,10 @@ func (p *Pool) remove(j *Job) {
 	}
 }
 
-func (p *Pool) worker(id int) {
+func (p *Pool) worker(id int, ws *slot) {
 	p.mu.Lock()
 	for {
-		j, u, quantum := p.pick()
+		j := p.next()
 		if j == nil {
 			if p.closed {
 				p.mu.Unlock()
@@ -428,66 +601,25 @@ func (p *Pool) worker(id int) {
 			p.cond.Wait()
 			continue
 		}
-		j.inflight++
-		p.running++
-		j.served += quantum
-		if j.head >= len(j.queue) {
-			// Nothing left to dispatch; stop offering the job.
-			p.remove(j)
-		}
+		u := p.claim(j)
+		ws.job, ws.cost, ws.stolen = j, j.spec.Costs[u.Cell], 0
+		p.busy++
+		p.updatePending()
 		m := p.metrics
 		p.mu.Unlock()
 
-		var start time.Time
-		if m != nil {
-			start = time.Now()
-			// Jobs admitted before SetMetrics carry no admission stamp;
-			// skip their queue-wait sample rather than observe garbage.
-			if !j.admitted.IsZero() {
-				m.QueueWait.Observe(start.Sub(j.admitted).Seconds())
-			}
-			m.WorkersBusy.Inc()
-		}
-		j.spec.Run(id, u)
-		if m != nil {
-			m.Claims.Inc()
-			m.Service.Observe(time.Since(start).Seconds())
-			m.UnitsDone.Inc()
-			m.WorkersBusy.Dec()
-		}
+		p.run(id, ws, m, j, u, false)
 
 		p.mu.Lock()
-		j.cellDone[u.Cell]++
-		if j.cellDone[u.Cell] == j.spec.Repeats && j.spec.OnCellDone != nil {
-			// The unit still counts as in flight during OnCellDone, so
-			// the job cannot be observed finished — and Wait cannot
-			// return — while a cell notification is still being
-			// delivered.
-			p.mu.Unlock()
-			j.spec.OnCellDone(u.Cell)
-			p.mu.Lock()
-		}
-		j.inflight--
-		p.running--
-		j.done++
-		finished := j.inflight == 0 && j.head >= len(j.queue) && !j.completed
-		if finished {
-			j.completed = true
-			p.active--
-		}
-		// A unit completing frees a slot a width-limited sibling job
-		// may have been waiting for.
-		p.cond.Broadcast()
-		if finished {
-			p.mu.Unlock()
-			close(j.finished)
-			p.mu.Lock()
-		}
+		ws.job = nil
+		p.busy--
+		p.complete(j, u)
 	}
 }
 
-// Cancel drops the job's queued units; in-flight units complete. Safe
-// to call repeatedly and after completion.
+// Cancel drops the job's queued units; claimed units complete (or
+// abort, if Run polls a cancel flag of its own). Safe to call
+// repeatedly and after completion.
 func (j *Job) Cancel() {
 	p := j.pool
 	p.mu.Lock()
@@ -498,8 +630,10 @@ func (j *Job) Cancel() {
 	j.cancelled = true
 	j.dropped = len(j.queue) - j.head
 	j.head = len(j.queue)
+	j.remaining = 0
 	p.queued -= j.dropped
 	p.remove(j)
+	p.updatePending()
 	finished := j.inflight == 0
 	if finished {
 		j.completed = true

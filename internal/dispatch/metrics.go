@@ -21,15 +21,20 @@ type Metrics struct {
 	// job's runtime so far, which is exactly the latency a unit
 	// experienced since the client submitted.
 	QueueWait *obs.Histogram
-	// Service observes claim execution time; Claims counts dispatched
-	// claims. A claim is one ⟨cell, repeat⟩ unit.
+	// Service observes claim execution time, excluding the units run
+	// nested inside the claim; Claims counts dispatched claims, nested
+	// ones included. A claim is one ⟨cell, repeat⟩ unit.
 	Service *obs.Histogram
 	Claims  *obs.Counter
+	// Preemptions counts nested claims: units run by Pool.Preempt
+	// while the worker's own claim was parked.
+	Preemptions *obs.Counter
 	// UnitsDone counts executed units; UnitsDropped counts units
 	// discarded before execution by Cancel.
 	UnitsDone    *obs.Counter
 	UnitsDropped *obs.Counter
-	// WorkersBusy is the number of workers executing a claim right now.
+	// WorkersBusy is the number of workers executing a claim of their
+	// own right now; a nested claim does not raise it.
 	WorkersBusy *obs.Gauge
 }
 
@@ -44,11 +49,12 @@ func NewMetrics(r *obs.Registry, p *Pool) *Metrics {
 		Admitted:     r.NewCounter("joss_dispatch_jobs_admitted_total", "Jobs admitted into the dispatch pool.", nil),
 		Rejected:     r.NewCounter("joss_dispatch_jobs_rejected_total", "Job admissions rejected by overload limits.", nil),
 		QueueWait:    r.NewHistogram("joss_dispatch_queue_wait_seconds", "Per-claim wait from job admission to dispatch.", nil, nil),
-		Service:      r.NewHistogram("joss_dispatch_service_seconds", "Claim execution time.", claim, nil),
+		Service:      r.NewHistogram("joss_dispatch_service_seconds", "Claim execution time, excluding units nested inside it.", claim, nil),
 		Claims:       r.NewCounter("joss_dispatch_claims_total", "Dispatched claims (one run unit each).", claim),
+		Preemptions:  r.NewCounter("joss_dispatch_preemptions_total", "Units run nested while the worker's own claim was parked.", nil),
 		UnitsDone:    r.NewCounter("joss_dispatch_units_done_total", "Units executed to completion.", nil),
 		UnitsDropped: r.NewCounter("joss_dispatch_units_dropped_total", "Units dropped before execution (cancel dequeues).", nil),
-		WorkersBusy:  r.NewGauge("joss_dispatch_workers_busy", "Workers executing a claim right now.", nil),
+		WorkersBusy:  r.NewGauge("joss_dispatch_workers_busy", "Workers executing a claim of their own right now.", nil),
 	}
 	r.NewGaugeFunc("joss_dispatch_workers", "Worker goroutines in the pool.", nil, func() float64 {
 		return float64(p.Workers())
@@ -61,7 +67,9 @@ func NewMetrics(r *obs.Registry, p *Pool) *Metrics {
 		_, queued, _ := p.Load()
 		return float64(queued)
 	})
-	r.NewGaugeFunc("joss_dispatch_inflight_units", "Units executing right now.", nil, func() float64 {
+	// Nested units count as in flight, so this can exceed the worker
+	// count by the units nested right now.
+	r.NewGaugeFunc("joss_dispatch_inflight_units", "Units executing right now, nested ones included.", nil, func() float64 {
 		_, _, inflight := p.Load()
 		return float64(inflight)
 	})

@@ -51,7 +51,10 @@
 //	               schedulers, benchmarks, uptime_sec, workers,
 //	               gomaxprocs, version, commit} —
 //	               jobs/queued_units/inflight_units are the live
-//	               dispatch load an operator or e2ebench polls;
+//	               dispatch load an operator or e2ebench polls
+//	               (inflight_units counts a unit running nested
+//	               while its worker's own unit is parked, so it can
+//	               exceed workers by the units nested right now);
 //	               plans_trained/training expose the plan cache's
 //	               size and in-flight training claims so /train
 //	               progress is observable; uptime/workers/

@@ -112,7 +112,9 @@ func TestSessionOverloadStormByteIdentical(t *testing.T) {
 // units across workers and rebuild their cells' graphs mid-flight. The
 // merged sweep report must stay byte-identical to an uncontended run,
 // and the probes must keep overtaking (each returns the same report as
-// on a quiet session).
+// on a quiet session). With both workers on sweep units, a probe runs
+// nested while a sweep unit is parked, so the differential covers the
+// preemption path too: the test insists it was taken at least once.
 func TestSessionProbeStormByteIdentical(t *testing.T) {
 	sweepReq := func(s *Session) SweepRequest {
 		return SweepRequest{
@@ -168,7 +170,21 @@ func TestSessionProbeStormByteIdentical(t *testing.T) {
 		t.Errorf("probe storm changed the sweep's plan evals: %d vs %d",
 			res.PlanEvals, wantSweep.PlanEvals)
 	}
-	t.Logf("storm: %d probes interleaved with the sweep", probes)
+	nested := preemptions(s)
+	if nested == 0 {
+		t.Error("no probe ran nested in a parked sweep unit; the preemption path went untested")
+	}
+	t.Logf("storm: %d probes interleaved with the sweep, %d nested", probes, nested)
+}
+
+// preemptions reads the session's joss_dispatch_preemptions_total.
+func preemptions(s *Session) int {
+	for _, pt := range s.registry.Snapshot() {
+		if pt.Name == "joss_dispatch_preemptions_total" {
+			return int(pt.Value)
+		}
+	}
+	return 0
 }
 
 // cancelTrigger wraps a scheduler and fires a callback after the n-th

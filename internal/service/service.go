@@ -507,21 +507,42 @@ type worker struct {
 	// interleaved jobs — share one build.
 	built  costKey
 	scheds map[string]taskrt.Scheduler
+	// yield is the runtime's poll hook for this slot's units: it lets
+	// the dispatcher run a much smaller job's unit on the nested slot
+	// while this slot's unit is parked (nil on a nested slot, so
+	// nesting stops at depth 1).
+	yield func()
+	// running is set while the slot's runtime is inside Run; nested
+	// is the slot a unit dispatched during that Run executes on. Both
+	// are touched only by the owning dispatch worker's goroutine.
+	running bool
+	nested  *worker
 }
 
-// workerAt returns the state slot for a dispatch worker id, growing
-// the slice (and the pool) as needed.
+// workerAt returns the state slot for a unit dispatched to worker id:
+// the worker's own, or — while the worker's own unit is parked in a
+// preemption poll — its nested slot, built on first use with its own
+// runtime, graph and scheduler cache. The parked unit's scheduler is
+// mid-run, so the nested unit must never see (let alone Reset) it.
 func (s *Session) workerAt(id int) *worker {
 	s.workerMu.Lock()
-	defer s.workerMu.Unlock()
-	return s.workers[id]
+	w := s.workers[id]
+	s.workerMu.Unlock()
+	if !w.running {
+		return w
+	}
+	if w.nested == nil {
+		w.nested = &worker{}
+	}
+	return w.nested
 }
 
 // ensureWorkers grows the pool and its state slots to at least n.
 func (s *Session) ensureWorkers(n int) {
 	s.workerMu.Lock()
 	for len(s.workers) < n {
-		s.workers = append(s.workers, &worker{})
+		id := len(s.workers)
+		s.workers = append(s.workers, &worker{yield: func() { s.pool.Preempt(id) }})
 	}
 	s.workerMu.Unlock()
 	s.pool.Grow(n)
@@ -656,6 +677,7 @@ func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Rep
 	seed := req.Seed + int64(repeat)
 	opt := runOptions(req, seed)
 	opt.Cancel = &h.cancel
+	opt.Yield = w.yield
 	if req.trainer {
 		// Trainer units poll a per-cell flag instead of the job-wide
 		// one, so each cell stops independently the moment its model
@@ -685,7 +707,9 @@ func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Rep
 		}
 		w.rt.Reset(w.g)
 	}
+	w.running = true
 	rep := w.rt.Run(w.g)
+	w.running = false
 	evals := 0
 	if ms, ok := sc.(*sched.ModelSched); ok {
 		evals = ms.TotalEvals

@@ -142,3 +142,51 @@ func TestCancelFromGoroutine(t *testing.T) {
 		t.Errorf("rerun after racy cancel diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestCancelPollYieldsNestedRun: Options.Yield runs at the cancel
+// poll. A whole run on another runtime executed inside it leaves both
+// reports bit-identical to undisturbed runs, and a cancel set inside
+// Yield aborts the parked run before it executes another event.
+func TestCancelPollYieldsNestedRun(t *testing.T) {
+	o := platform.DefaultOracle()
+	newSched := func() Scheduler { return &fixedSched{dec: maxDec(platform.A57, 1)} }
+	wantOuter := New(o, newSched(), DefaultOptions()).Run(cancelGraph("yield-outer"))
+	wantInner := New(o, newSched(), DefaultOptions()).Run(dag.Chains("yield-inner", demand(1e6, 1e5), 2, 20))
+
+	var flag atomic.Bool
+	inner := New(o, newSched(), DefaultOptions())
+	innerG := dag.Chains("yield-inner", demand(1e6, 1e5), 2, 20)
+	var gotInner Report
+	polls := 0
+	opt := cancelOptions(&flag)
+	opt.Yield = func() {
+		polls++
+		if polls == 2 {
+			gotInner = inner.Run(innerG)
+		}
+	}
+	gotOuter := New(o, newSched(), opt).Run(cancelGraph("yield-outer"))
+	if polls < 3 {
+		t.Fatalf("Yield called %d times, want the nested run to sit mid-simulation", polls)
+	}
+	if !reflect.DeepEqual(gotOuter, wantOuter) {
+		t.Errorf("parked run's report changed:\n got %+v\nwant %+v", gotOuter, wantOuter)
+	}
+	if !reflect.DeepEqual(gotInner, wantInner) {
+		t.Errorf("nested run's report changed:\n got %+v\nwant %+v", gotInner, wantInner)
+	}
+
+	var cancel atomic.Bool
+	yields := 0
+	opt = cancelOptions(&cancel)
+	opt.Yield = func() {
+		yields++
+		cancel.Store(true)
+	}
+	rt := New(o, newSched(), opt)
+	rt.Run(cancelGraph("yield-cancel"))
+	if !rt.Interrupted() || yields != 1 || rt.Eng.Processed() != CancelPollEvents {
+		t.Errorf("cancel inside Yield: interrupted %v after %d yields and %d events, want true, 1, %d",
+			rt.Interrupted(), yields, rt.Eng.Processed(), CancelPollEvents)
+	}
+}

@@ -42,13 +42,14 @@ import (
 	"joss/internal/trace"
 )
 
-// CancelPollEvents is the cooperative cancellation period: a Run with
-// Options.Cancel set polls the flag once per this many executed
-// simulation events, so worst-case cancel latency is bounded by a
-// constant number of events rather than one full cell simulation. The
-// value keeps the poll (one atomic load) amortised to noise on the
-// warm path while still tripping in well under a millisecond of wall
-// clock.
+// CancelPollEvents is the cooperative poll period: a Run with
+// Options.Cancel set polls the flag, and calls Options.Yield, once per
+// this many executed simulation events. It bounds worst-case cancel
+// latency, and how long a unit preempting this run waits for it to
+// give way, by a constant number of events rather than one full cell
+// simulation. The value keeps the poll (one atomic load each for the
+// flag and an idle Yield) amortised to noise on the warm path while
+// still tripping in well under a millisecond of wall clock.
 const CancelPollEvents = 512
 
 // StealScope restricts which victims a core may steal from.
@@ -302,6 +303,13 @@ type Options struct {
 	// it reproduces a fresh runtime's results byte for byte. A nil
 	// Cancel keeps the historical single-call event loop.
 	Cancel *atomic.Bool
+	// Yield, when non-nil, is called at every Cancel poll (it is
+	// ignored when Cancel is nil). The run is paused between events
+	// while Yield runs, and Yield may execute other runs on other
+	// runtimes on the calling goroutine; when it returns, this run
+	// resumes untouched, and a Cancel set meanwhile takes effect at
+	// once.
+	Yield func()
 }
 
 // DefaultOptions returns the options used by the experiments.
@@ -638,13 +646,16 @@ func (rt *Runtime) Run(g *dag.Graph) Report {
 	// Run until all tasks completed; the sensor stops itself when the
 	// last task finishes, so the event queue drains naturally. With a
 	// cancel flag installed, execute in CancelPollEvents batches and
-	// poll between them — the poll costs one atomic load per batch and
-	// allocates nothing, so the warm path's allocation profile is
-	// unchanged.
+	// poll between them (Yield included) — an idle poll costs an atomic
+	// load or two per batch and allocates nothing, so the warm path's
+	// allocation profile is unchanged.
 	if c := rt.Opt.Cancel; c == nil {
 		rt.Eng.Run()
 	} else {
 		for !c.Load() && rt.Eng.RunLimit(CancelPollEvents) == CancelPollEvents {
+			if y := rt.Opt.Yield; y != nil {
+				y()
+			}
 		}
 		if c.Load() && rt.remaining != 0 {
 			return rt.abort(g)
