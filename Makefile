@@ -35,8 +35,10 @@ test:
 # concurrent-train storm, durable DELETE and journaled retention,
 # run-unit preemption (the dispatcher's nesting rule and accounting,
 # and the probe storm that runs probes nested in parked sweep units),
-# trainer rounds kept out of the job registry and the metrics registry
-# storm (concurrent updates racing a scraper) — the tests most
+# trainer rounds kept out of the job registry, the metrics registry
+# storm (concurrent updates racing a scraper), and the worker-thread
+# checks (lowered worker priority, threads released by Close, the
+# small-request overtake) — the tests most
 # sensitive to timing, so they get extra iterations beyond the single
 # tier-1 pass. It ends with a short coverage-guided fuzz pass over each
 # wire decoder, over job-journal replay, over plan-store loading and
@@ -44,9 +46,9 @@ test:
 # committed seed corpora).
 chaos:
 	$(GO) test -race -count=3 \
-		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestTrainRoundsStayInternal|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm' \
+		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestTrainRoundsStayInternal|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm|TestSessionCloseReleasesWorkerThreads|TestSessionSmallRequestOvertakesLargeSweep' \
 		./internal/service
-	$(GO) test -race -count=3 -run 'TestPreempt|TestAdmitStartsAtMinimumService' ./internal/dispatch
+	$(GO) test -race -count=3 -run 'TestPreempt|TestAdmitStartsAtMinimumService|TestWorkerThreadsLowered' ./internal/dispatch
 	$(GO) test -race -count=3 ./internal/jobstore
 	$(GO) test -race -count=3 -run 'TestCancel' ./internal/taskrt
 	$(GO) test -race -count=3 -run 'TestRegistryStorm' ./internal/obs

@@ -19,6 +19,13 @@
 // 10 ms forced preemption. The spare P keeps the serving path off that
 // clock. Wire requests cannot raise the pool above -parallel.
 //
+// That is the Go half of keeping serving ahead of simulation. The OS
+// half: each worker runs on an OS thread of its own at nice +10
+// (Linux), so the kernel gives a waking serving thread, or a client on
+// the same host, a CPU at once. /metrics reports the value applied as
+// joss_dispatch_worker_nice; if it cannot be lowered, the daemon logs
+// one warning and serves as before.
+//
 // Usage:
 //
 //	jossd [-listen ADDR] [-socket PATH] [-parallel N]

@@ -44,7 +44,13 @@
 // are queued, so a serving process must leave a Go processor (P)
 // beyond its workers for its I/O goroutines, which would otherwise
 // wait out the runtime's 10 ms forced preemption (cmd/jossd runs
-// workers + 1).
+// workers + 1). That is the Go half of serving isolation. The OS half:
+// each worker locks its goroutine to an OS thread and, on Linux, lowers
+// that thread to nice +10, so a serving thread that wakes (an HTTP
+// handler, the network poller, a client on the same host) gets a CPU
+// at once instead of queueing behind the simulation. A lowered thread
+// cannot be raised again without privilege, so it runs nothing but its
+// worker and exits with it; Close retires the workers.
 //
 // Cancellation is cooperative and unit-granular: Cancel drops a job's
 // queued units; a claimed unit returns from Run when Run decides to
@@ -196,7 +202,7 @@ type Pool struct {
 	jobs    []*Job // jobs with pending units, admission order
 	workers int
 	nextSeq uint64
-	closed  bool
+	closing bool // set by Close until the last worker exits
 	limits  Limits
 	active  int // admitted, not yet finished (excludes zero-unit jobs)
 	queued  int // undispatched units across all jobs
@@ -212,6 +218,9 @@ type Pool struct {
 	// metrics, when non-nil, receives the dispatch-path observations.
 	// Guarded by mu; workers capture it per claim.
 	metrics *Metrics
+	// nice is the nice value the workers' threads run at, 0 when
+	// lowering it failed or the OS has no such notion.
+	nice atomic.Int64
 }
 
 // slot is one worker's claim state. job, cost and nested are guarded
@@ -234,10 +243,14 @@ func NewPool(workers int) *Pool {
 }
 
 // Grow raises the pool's worker count to at least n. Worker ids are
-// dense in [0, Workers()).
+// dense in [0, Workers()). A Grow concurrent with Close first waits
+// for the retired workers to exit, so no worker id is held twice.
 func (p *Pool) Grow(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for p.closing {
+		p.cond.Wait()
+	}
 	for p.workers < n {
 		ws := &slot{}
 		p.slots = append(p.slots, ws)
@@ -279,13 +292,18 @@ func (p *Pool) Load() (jobs, queuedUnits, inflightUnits int) {
 	return p.active, p.queued, p.running
 }
 
-// Close makes idle workers exit. It is a test convenience: a closed
-// pool must not be admitted to, and jobs should be drained first.
+// Close retires the workers and returns once all have exited, each
+// taking its OS thread with it. A worker exits when no job has a unit
+// it may claim, so the units already admitted run first. The pool
+// stays usable: the next Grow starts fresh workers.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	p.closed = true
+	defer p.mu.Unlock()
+	p.closing = p.workers > 0
 	p.cond.Broadcast()
-	p.mu.Unlock()
+	for p.closing {
+		p.cond.Wait()
+	}
 }
 
 // Admit enters a job into the multi-queue and returns its handle. The
@@ -352,10 +370,6 @@ func (p *Pool) Admit(spec Spec) (*Job, error) {
 	j.cellDone = make([]int, spec.Cells)
 
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		panic("dispatch: Admit on a closed pool")
-	}
 	if (p.limits.MaxJobs > 0 && p.active >= p.limits.MaxJobs) ||
 		(p.limits.MaxQueuedUnits > 0 && p.queued+total > p.limits.MaxQueuedUnits) {
 		err := &OverloadError{
@@ -590,11 +604,13 @@ func (p *Pool) remove(j *Job) {
 }
 
 func (p *Pool) worker(id int, ws *slot) {
+	p.lowerThread()
 	p.mu.Lock()
 	for {
 		j := p.next()
 		if j == nil {
-			if p.closed {
+			if p.closing {
+				p.retire()
 				p.mu.Unlock()
 				return
 			}
@@ -615,6 +631,17 @@ func (p *Pool) worker(id int, ws *slot) {
 		p.busy--
 		p.complete(j, u)
 	}
+}
+
+// retire counts an exiting worker out; the last one ends Close.
+// Called with p.mu held.
+func (p *Pool) retire() {
+	p.workers--
+	if p.workers == 0 {
+		p.slots, p.closing = nil, false
+		p.cond.Broadcast()
+	}
+	p.updatePending()
 }
 
 // Cancel drops the job's queued units; claimed units complete (or

@@ -67,6 +67,9 @@ func NewMetrics(r *obs.Registry, p *Pool) *Metrics {
 		_, queued, _ := p.Load()
 		return float64(queued)
 	})
+	r.NewGaugeFunc("joss_dispatch_worker_nice", "Nice value of the worker threads (0 when it could not be lowered).", nil, func() float64 {
+		return float64(p.nice.Load())
+	})
 	// Nested units count as in flight, so this can exceed the worker
 	// count by the units nested right now.
 	r.NewGaugeFunc("joss_dispatch_inflight_units", "Units executing right now, nested ones included.", nil, func() float64 {

@@ -42,6 +42,7 @@ func TestSessionOverloadStormByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer bounded.Close()
 
 	// A long job fills the single admission slot...
 	long := mustEnqueue(t, bounded, SweepRequest{
@@ -471,6 +472,7 @@ func TestHTTPOverloadAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sess.Close()
 	srv := httptest.NewServer(NewHandler(sess))
 	defer srv.Close()
 

@@ -329,9 +329,10 @@ func (s *Session) Requests() int { return int(s.requests.Load()) }
 func (s *Session) Metrics() *obs.Registry { return s.registry }
 
 // Workers returns the pool's current worker-goroutine count (the pool
-// grows with admitted requests' Parallel, so this is a high-water
-// mark, not a configuration echo). Wire requests are clamped to
-// Parallel, so only in-process callers can raise it above Parallel.
+// grows with admitted requests' Parallel, so this is a high-water mark
+// since New or the last Close, not a configuration echo). Wire
+// requests are clamped to Parallel, so only in-process callers can
+// raise it above Parallel.
 func (s *Session) Workers() int { return s.pool.Workers() }
 
 // Uptime reports the time since the session was built (New).
@@ -347,11 +348,15 @@ func (s *Session) SavePlanStore() error {
 	return s.plans.SaveFileMerged(s.storePath, s.oracle.Spec)
 }
 
-// Close flushes the plan store a final time and closes the job
-// journal (releasing its exclusive lock). A session without a job
-// store stays usable after Close (a flush point, not a teardown);
-// one with a job store must not admit further work afterwards.
+// Close waits for the admitted units to run and retires the pool's
+// workers, whose OS threads exit with them, then flushes the plan
+// store a final time and closes the job journal (releasing its
+// exclusive lock). A session without a job store stays usable after
+// Close (a flush point, not a teardown: the next request starts fresh
+// workers); one with a job store must not admit further work
+// afterwards.
 func (s *Session) Close() error {
+	s.pool.Close()
 	if s.flushStop != nil {
 		s.flushOnce.Do(func() { close(s.flushStop) })
 		s.flushWG.Wait()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +37,7 @@ func newTestSession(t testing.TB) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -421,6 +423,11 @@ func TestSessionConcurrentSubmitEquivalence(t *testing.T) {
 // the dispatcher exists for: a 1-unit request submitted while a large
 // sweep occupies the session completes before the sweep does.
 func TestSessionSmallRequestOvertakesLargeSweep(t *testing.T) {
+	// Like jossd, run a processor beyond the two workers: the
+	// goroutines the small job's completion wakes (finalize, then this
+	// test) must not wait out the runtime's 10 ms forced preemption of
+	// a worker, long enough for the whole sweep to finish.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	s := newTestSession(t)
 	large := mustEnqueue(t, s, SweepRequest{
 		Jobs:     jobsFor(s, []string{"HT_Small", "HT_Big", "MM_512_dop16", "ST_2048_dop16"}, []string{"GRWS", "JOSS"}),
