@@ -31,29 +31,27 @@ test:
 
 # chaos repeats the failure-path suite under the race detector:
 # overload storms, mid-run cancellation, drain refusals, SIGKILL crash
-# recovery, journal replay, the train-vs-lazy differential with its
-# concurrent-train storm, durable DELETE and journaled retention,
+# recovery, journal replay, durable DELETE and journaled retention,
 # run-unit preemption (the dispatcher's nesting rule and accounting,
 # and the probe storm that runs probes nested in parked sweep units),
-# trainer rounds kept out of the job registry, the metrics registry
-# storm (concurrent updates racing a scraper), and the worker-thread
-# checks (lowered worker priority, threads released by Close, the
-# small-request overtake) — the tests most
-# sensitive to timing, so they get extra iterations beyond the single
-# tier-1 pass. It ends with a short coverage-guided fuzz pass over each
-# wire decoder, over job-journal replay, over plan-store loading and
-# over jossrun's Retry-After parsing (tier-1 replays only their
-# committed seed corpora).
+# the metrics registry storm (concurrent updates racing a scraper), and
+# the worker-thread checks (lowered worker priority, a main thread
+# never lowered, threads released by Close, the small-request
+# overtake) — the tests most sensitive to timing, so they get extra
+# iterations beyond the single tier-1 pass. It ends with a short
+# coverage-guided fuzz pass over the wire sweep decoder, over
+# job-journal replay, over plan-store loading and over jossrun's
+# Retry-After parsing (tier-1 replays only their committed seed
+# corpora).
 chaos:
 	$(GO) test -race -count=3 \
-		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestTrainRoundsStayInternal|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm|TestSessionCloseReleasesWorkerThreads|TestSessionSmallRequestOvertakesLargeSweep' \
+		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestSessionCloseReleasesWorkerThreads|TestSessionSmallRequestOvertakesLargeSweep' \
 		./internal/service
-	$(GO) test -race -count=3 -run 'TestPreempt|TestAdmitStartsAtMinimumService|TestWorkerThreadsLowered' ./internal/dispatch
+	$(GO) test -race -count=3 -run 'TestPreempt|TestAdmitStartsAtMinimumService|TestWorkerThreadsLowered|TestMainThreadNotLowered' ./internal/dispatch
 	$(GO) test -race -count=3 ./internal/jobstore
 	$(GO) test -race -count=3 -run 'TestCancel' ./internal/taskrt
 	$(GO) test -race -count=3 -run 'TestRegistryStorm' ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildSweepRequest$$' -fuzztime=10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzBuildTrainRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanStore$$' -fuzztime=10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzRetryDelay$$' -fuzztime=10s ./cmd/jossrun

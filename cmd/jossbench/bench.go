@@ -236,17 +236,16 @@ func runBench(outPath string, reuse bool) error {
 			elapsed = time.Since(start)
 		})
 
-		// Plan pre-training, measured as the pair perfgate gates: the
-		// same JOSS sweep served cold (a fresh plan cache every
-		// iteration, so every cell pays sampling and configuration
-		// search) and pre-trained (Session.Train warmed the cache once,
-		// so every iteration adopts resident plans and performs zero
-		// searches). Both rows share the session, workloads, scale and
-		// seed. The load-bearing column is plan_evals_per_op — 0 on the
-		// pre-trained row proves adoption; the ns/op gap is the search
-		// and sampling work /train removes from serving, a few percent
-		// here (see PERF.md PR 9 for why a 1-vCPU runner hides most of
-		// it).
+		// Warm plans, measured as the pair perfgate gates: the same
+		// JOSS sweep served cold (a fresh plan cache every iteration, so
+		// every cell pays sampling and configuration search) and warm
+		// (one ordinary sweep filled the cache first, so every iteration
+		// adopts resident plans and performs zero searches). Both rows
+		// share the session, workloads, scale and seed. The load-bearing
+		// column is plan_evals_per_op — 0 on the warm row proves
+		// adoption; the ns/op gap is the search and sampling work a warm
+		// cache removes from serving, a few percent here (see PERF.md
+		// PR 9 for why a 1-vCPU runner hides most of it).
 		var jossJobs []service.Job
 		for _, c := range workloads.Fig8Configs() {
 			switch c.Name {
@@ -279,25 +278,15 @@ func runBench(outPath string, reuse bool) error {
 				planEvals = res.PlanEvals
 			}
 		})
-		trained := sched.NewPlanCache()
-		benchNames := make([]string, 0, len(jossJobs))
-		for _, j := range jossJobs {
-			benchNames = append(benchNames, j.Workload.Name)
-		}
-		if _, err := sess.Train(service.TrainRequest{
-			Benchmarks: benchNames,
-			Schedulers: []string{"JOSS"},
-			Scale:      0.05,
-			Seed:       1,
-			Plans:      trained,
-		}); err != nil {
+		warmed := sched.NewPlanCache()
+		if _, err := sess.Submit(jossReq(warmed)); err != nil {
 			return err
 		}
 		add("PretrainedSweep", func(testing.BenchmarkResult) map[string]float64 {
 			return map[string]float64{"plan_evals_per_op": float64(planEvals)}
 		}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := sess.Submit(jossReq(trained))
+				res, err := sess.Submit(jossReq(warmed))
 				if err != nil {
 					b.Fatal(err)
 				}

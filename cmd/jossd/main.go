@@ -3,8 +3,12 @@
 // sweep and run requests over HTTP (TCP or a unix socket) from a
 // resident service.Session — long-lived worker runtimes, recycled
 // graph arenas, Reset-recycled schedulers and the shared persistent
-// plan cache. No request ever trains; with -planstore, a request for
-// kernels any previous process trained performs zero plan searches.
+// plan cache. No request ever retrains the models. A kernel's plan is
+// searched once, in the first run that needs it; with -planstore, a
+// request for kernels any previous process trained performs zero plan
+// searches. To warm a fresh daemon before traffic arrives, POST one
+// /sweep over the grid clients will request (same scale and seed,
+// share_plans left true).
 //
 // Requests execute concurrently: each admitted request becomes a job
 // on the session's fair-share dispatcher, whose run units interleave
@@ -30,29 +34,22 @@
 //
 //	jossd [-listen ADDR] [-socket PATH] [-parallel N]
 //	      [-planstore FILE] [-saveevery N] [-flushevery DUR]
-//	      [-pretrain GRID] [-retainjobs N]
-//	      [-maxjobs N] [-maxqueue N] [-jobstore FILE]
+//	      [-retainjobs N] [-maxjobs N] [-maxqueue N] [-jobstore FILE]
 //	      [-loglevel LEVEL] [-logformat text|json] [-debugaddr ADDR]
 //
-// -pretrain "bench,...:sched,..." pre-trains the named grid's plans
-// before the daemon starts serving — claim-based single-flight
-// training through the same dispatcher requests use, so the first
-// client sweep over those cells performs zero plan searches. Either
-// side of the colon may be "all" or empty for the full set; a bare
-// "all" pre-trains everything. -flushevery publishes the plan store on
-// a timer (in addition to the request-count cadence of -saveevery), so
-// processes sharing the plan store see freshly trained plans without
-// waiting for traffic.
+// -flushevery publishes the plan store on a timer (in addition to the
+// request-count cadence of -saveevery), so processes sharing the plan
+// store see freshly trained plans without waiting for traffic.
 //
 // -maxjobs/-maxqueue bound admission: excess requests get 429 Too Many
 // Requests with a Retry-After hint instead of queueing without bound.
-// -jobstore makes wire jobs crash-durable — sweeps and /train runs
-// alike: specs are journaled at admission and results on completion,
-// so after a crash or restart the daemon still serves finished results
-// byte-identically and reports jobs that died mid-run as
-// "interrupted". -retainjobs bounds the finished jobs of every kind the
-// daemon keeps, replayed ones included; an eviction, like a DELETE of
-// a finished job, is journaled, so the job stays gone after a restart.
+// -jobstore makes wire jobs crash-durable: specs are journaled at
+// admission and results on completion, so after a crash or restart
+// the daemon still serves finished results byte-identically and
+// reports jobs that died mid-run as "interrupted". -retainjobs bounds
+// the finished jobs the daemon keeps, replayed ones included; an
+// eviction, like a DELETE of a finished job, is journaled, so the job
+// stays gone after a restart.
 // On SIGINT/SIGTERM the daemon drains: admission stops (503 +
 // Retry-After), in-flight jobs finish, stores flush, then the process
 // exits.
@@ -75,9 +72,8 @@
 //	POST   /sweep           run a benchmark × scheduler sweep
 //	POST   /sweep?stream=1  same, streaming per-cell NDJSON frames
 //	POST   /run             run one benchmark under one scheduler
-//	POST   /train           pre-train a grid's plans (?async=1 -> job)
 //	POST   /jobs            enqueue a sweep as a fire-and-forget job
-//	GET    /jobs            list jobs of every kind in admission order
+//	GET    /jobs            list jobs in admission order
 //	GET    /jobs/{id}       poll per-cell progress; result once done
 //	DELETE /jobs/{id}       cancel (cooperative) or evict when done
 //	GET    /healthz         liveness, uptime, workers, build identity
@@ -121,30 +117,23 @@ func main() {
 	saveEvery := flag.Int("saveevery", 1, "flush the plan store every N requests")
 	flushEvery := flag.Duration("flushevery", 0,
 		"also publish the plan store on this period when it has unsaved plans (0 = request-count cadence only)")
-	pretrain := flag.String("pretrain", "",
-		"pre-train plans before serving: \"bench,...:sched,...\" ('all' or empty side = full set)")
 	retainJobs := flag.Int("retainjobs", 0,
-		"finished jobs of every kind (sweeps, training runs, replayed jobs) kept for /jobs/{id} polling (0 = default 256)")
+		"finished jobs (live and replayed) kept for /jobs/{id} polling (0 = default 256)")
 	maxJobs := flag.Int("maxjobs", 0, "admission bound on concurrently admitted jobs (0 = unbounded); excess requests get 429")
 	maxQueue := flag.Int("maxqueue", 0, "admission bound on queued run units across all jobs (0 = unbounded); excess requests get 429")
 	jobStore := flag.String("jobstore", "",
-		"crash-durable job journal for sweeps and training runs: specs recorded at admission, results on completion, evictions on removal, replayed at startup")
+		"crash-durable job journal for sweeps: specs recorded at admission, results on completion, evictions on removal, replayed at startup")
 	logLevel := flag.String("loglevel", "info", "log level: debug, info, warn or error (debug logs every request)")
 	logFormat := flag.String("logformat", "text", "log format: text or json")
 	debugAddr := flag.String("debugaddr", "",
 		"opt-in address for a second listener serving net/http/pprof under /debug/pprof/ (empty = off)")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: jossd [-listen ADDR] [-socket PATH] [-parallel N] [-planstore FILE] [-saveevery N] [-flushevery DUR] [-pretrain GRID] [-retainjobs N] [-maxjobs N] [-maxqueue N] [-jobstore FILE] [-loglevel LEVEL] [-logformat text|json] [-debugaddr ADDR]")
+		fmt.Fprintln(os.Stderr, "usage: jossd [-listen ADDR] [-socket PATH] [-parallel N] [-planstore FILE] [-saveevery N] [-flushevery DUR] [-retainjobs N] [-maxjobs N] [-maxqueue N] [-jobstore FILE] [-loglevel LEVEL] [-logformat text|json] [-debugaddr ADDR]")
 		os.Exit(2)
 	}
 	if *parallel < 0 || *saveEvery < 1 || *retainJobs < 0 || *maxJobs < 0 || *maxQueue < 0 || *flushEvery < 0 {
 		fmt.Fprintln(os.Stderr, "jossd: -parallel must be >= 0, -saveevery >= 1 and -retainjobs/-maxjobs/-maxqueue/-flushevery >= 0")
-		os.Exit(2)
-	}
-	preBenches, preScheds, preOK := parsePretrain(*pretrain)
-	if !preOK {
-		fmt.Fprintln(os.Stderr, "jossd: -pretrain wants \"bench,...:sched,...\" (either side 'all' or empty), e.g. -pretrain SLU,VG:JOSS or -pretrain all")
 		os.Exit(2)
 	}
 	log, err := newLogger(*logLevel, *logFormat)
@@ -189,28 +178,6 @@ func main() {
 			log.Info("jobs replayed", "jobs", n, "jobstore", *jobStore)
 		}
 	}
-	if *pretrain != "" {
-		log.Info("pre-training plans before serving", "grid", *pretrain)
-		t0 := time.Now()
-		res, terr := sess.Train(service.TrainRequest{
-			Benchmarks: preBenches,
-			Schedulers: preScheds,
-			Seed:       1,
-		})
-		if terr != nil {
-			log.Error("pre-training failed", "err", terr)
-			os.Exit(1)
-		}
-		log.Info("pre-trained",
-			"trained", res.Trained, "keys", res.Keys, "cached", res.Cached,
-			"early_stopped", res.EarlyStopped,
-			"elapsed", time.Since(t0).Round(time.Millisecond),
-			"plans_resident", sess.Plans().Len())
-		if res.PlanStoreErr != nil {
-			log.Error("pre-training plan-store flush failed", "err", res.PlanStoreErr)
-		}
-	}
-
 	var ln net.Listener
 	if *socket != "" {
 		// Remove only a dead daemon's leftover socket file: if
@@ -402,34 +369,4 @@ func serveDebug(addr string, log *slog.Logger) {
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		log.Error("debug listener failed", "err", err)
 	}
-}
-
-// parsePretrain splits a "bench,...:sched,..." grid spec. Either side
-// may be "all" or empty (nil list = full set); a bare "all" (no colon)
-// selects everything. Name validation is left to the training request,
-// which knows the benchmark and scheduler registries.
-func parsePretrain(spec string) (benches, scheds []string, ok bool) {
-	if spec == "" {
-		return nil, nil, true
-	}
-	side := func(s string) []string {
-		if s == "" || strings.EqualFold(s, "all") {
-			return nil
-		}
-		var out []string
-		for _, v := range strings.Split(s, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	b, s, found := strings.Cut(spec, ":")
-	if !found {
-		if strings.EqualFold(spec, "all") {
-			return nil, nil, true
-		}
-		return nil, nil, false
-	}
-	return side(b), side(s), true
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"joss/internal/service"
@@ -24,21 +23,6 @@ func newRemote(target string, retries int) (*Client, error) {
 			err, delay.Round(time.Millisecond), attempt, total)
 	}
 	return c, nil
-}
-
-// splitList parses a comma-separated flag value; empty and "all" both
-// mean "everything" (the daemon fills in the full set).
-func splitList(s string) []string {
-	if s == "" || strings.EqualFold(s, "all") {
-		return nil
-	}
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // printReport renders one served cell report.
@@ -151,54 +135,6 @@ func watchRemote(target, jobID string, retries int) error {
 			return nil
 		}
 		time.Sleep(150 * time.Millisecond)
-	}
-}
-
-// trainRemote posts a pre-training request (POST /train) for the
-// -bench/-sched grid and prints the outcome. -bench/-sched accept
-// comma lists or "all" in this mode.
-func trainRemote(target, benchList, schedList string, scale float64, seed int64, retries int) error {
-	r, err := newRemote(target, retries)
-	if err != nil {
-		return err
-	}
-	reqBody, err := json.Marshal(service.WireTrainRequest{
-		Benchmarks: splitList(benchList),
-		Schedulers: splitList(schedList),
-		Scale:      scale,
-		Seed:       &seed,
-	})
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	resp, err := r.Do(context.Background(), http.MethodPost, "/train", reqBody)
-	if err != nil {
-		return err
-	}
-	var res service.WireTrainResult
-	if err := decodeOrError(resp, http.StatusOK, &res); err != nil {
-		return err
-	}
-	printTrainResult(target, res, time.Since(start))
-	if res.Error != "" {
-		return fmt.Errorf("training ended early: %s", res.Error)
-	}
-	return nil
-}
-
-// printTrainResult renders one daemon's training outcome.
-func printTrainResult(target string, res service.WireTrainResult, wall time.Duration) {
-	fmt.Printf("trained by %s in %v (%.3f s on the daemon)\n",
-		target, wall.Round(time.Millisecond), res.ElapsedSec)
-	fmt.Printf("plan keys       %d in the grid: %d trained, %d already cached, %d skipped (another trainer holds them), %d failed\n",
-		res.Keys, res.Trained, res.Cached, res.Skipped, res.Failed)
-	fmt.Printf("trainer runs    %d cells over %d rounds, %d stopped early once every kernel was planned\n",
-		res.Cells, res.Rounds, res.EarlyStopped)
-	fmt.Printf("plan searches   %d evaluations; daemon now holds %d plans\n",
-		res.PlanEvals, res.PlansTrained)
-	if res.PlanStoreError != "" {
-		fmt.Printf("warning: daemon could not flush its plan store: %s\n", res.PlanStoreError)
 	}
 }
 

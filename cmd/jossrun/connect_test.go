@@ -50,26 +50,6 @@ func TestTransientErrorStateInMessage(t *testing.T) {
 	}
 }
 
-// TestSplitList covers the -train mode's -bench/-sched comma-list parsing.
-func TestSplitList(t *testing.T) {
-	if got := splitList("all"); got != nil {
-		t.Errorf(`splitList("all") = %v, want nil (everything)`, got)
-	}
-	if got := splitList(""); got != nil {
-		t.Errorf(`splitList("") = %v, want nil`, got)
-	}
-	got := splitList(" SLU, MM_256_dop4 ,,JOSS ")
-	want := []string{"SLU", "MM_256_dop4", "JOSS"}
-	if len(got) != len(want) {
-		t.Fatalf("splitList = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("splitList = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestNewRemoteBadTarget asserts target validation happens at the CLI
 // boundary, before any request is made.
 func TestNewRemoteBadTarget(t *testing.T) {

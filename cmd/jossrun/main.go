@@ -8,7 +8,6 @@
 //	jossrun -connect URL [-retries N] [-scale F] [-seed N] [-repeats N] [-speedup S] [-traceout FILE] -bench NAME -sched NAME
 //	jossrun -connect URL -async [-retries N] [-scale F] [-seed N] [-repeats N] [-speedup S] -bench NAME -sched NAME
 //	jossrun -connect URL -watch JOBID
-//	jossrun -connect URL -train [-retries N] [-scale F] [-seed N] [-speedup S] [-bench A,B|all] [-sched X,Y|all]
 //
 // Benchmarks: the 21 Figure 8 configurations (e.g. SLU, MM_256_dop4).
 // Schedulers: GRWS, ERASE, Aequitas, STEER, JOSS, JOSS_NoMemDVFS,
@@ -19,23 +18,15 @@
 // With -connect the run is not simulated locally: the request is
 // posted to a jossd daemon (URL http://host:port, or unix://PATH for a
 // daemon on a unix socket), which serves it from its warm session —
-// resident runtimes, trained models and the shared plan store. A
-// second request for an already-trained kernel performs zero plan
-// searches on the daemon.
+// resident runtimes, trained models and the shared plan store. The
+// first request that needs a kernel's plan searches it on the daemon; a
+// second request for that kernel performs zero plan searches.
 //
 // -async posts the run as a fire-and-forget job (POST /jobs) and
 // prints the job id without waiting: the daemon's fair-share
 // dispatcher interleaves it with other requests, and -watch JOBID
 // attaches later — polling GET /jobs/JOBID with progress lines until
 // the result is served (or the job is cancelled via DELETE).
-//
-// -train pre-trains plans instead of running anything: with -connect
-// it posts the -bench/-sched grid (comma lists or "all") to the
-// daemon's /train endpoint — claim-based single-flight training, so
-// concurrent trainers and sweeps never search the same plan twice, and
-// a following sweep over the same grid, scale and seed performs zero
-// plan searches. Processes sharing the daemon's -planstore see the
-// trained plans too.
 //
 // Transient failures — the daemon unreachable, 429 when its admission
 // bounds are full, 5xx while it drains — are retried up to -retries
@@ -83,8 +74,6 @@ func main() {
 		"with -connect: enqueue the run as a daemon job (POST /jobs) and print its id instead of waiting")
 	watch := flag.String("watch", "",
 		"with -connect: attach to an existing daemon job by id, poll its progress and print the result")
-	train := flag.Bool("train", false,
-		"with -connect: pre-train the -bench/-sched grid's plans on the daemon (POST /train); -bench/-sched take comma lists or \"all\"")
 	repeats := flag.Int("repeats", 1, "with -connect: seeds per cell, averaged on the daemon")
 	retries := flag.Int("retries", 4,
 		"with -connect: retries for transient failures (dial errors, 429 overload, 5xx), with jittered exponential backoff honouring Retry-After")
@@ -108,21 +97,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jossrun: -async and -watch are -connect modes (the job lives on a daemon)")
 		os.Exit(exitUsage)
 	}
-	if *train && *connect == "" {
-		fmt.Fprintln(os.Stderr, "jossrun: -train needs -connect (it trains a daemon's plans); local runs train lazily")
-		os.Exit(exitUsage)
-	}
-	if *train && (*async || *watch != "") {
-		fmt.Fprintln(os.Stderr, "jossrun: -train does not combine with -async/-watch (poll its job via curl /train?async=1 instead)")
-		os.Exit(exitUsage)
-	}
 	if *traceRemote != "" {
 		if *connect == "" {
 			fmt.Fprintln(os.Stderr, "jossrun: -traceout is a -connect mode (the daemon records the trace); local runs use -trace")
 			os.Exit(exitUsage)
 		}
-		if *async || *watch != "" || *train {
-			fmt.Fprintln(os.Stderr, "jossrun: -traceout traces a synchronous /run; it does not combine with -async/-watch/-train")
+		if *async || *watch != "" {
+			fmt.Fprintln(os.Stderr, "jossrun: -traceout traces a synchronous /run; it does not combine with -async/-watch")
 			os.Exit(exitUsage)
 		}
 		if *repeats != 1 {
@@ -143,8 +124,6 @@ func main() {
 		switch {
 		case *async && *watch != "":
 			err = fmt.Errorf("-async enqueues a new job, -watch attaches to an existing one; pick one")
-		case *train:
-			err = trainRemote(*connect, *benchName, *schedName, *scale, *seed, *retries)
 		case *watch != "":
 			err = watchRemote(*connect, *watch, *retries)
 		case *async:

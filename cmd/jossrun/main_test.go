@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -64,37 +63,37 @@ func TestUnknownSchedulerIsUsageError(t *testing.T) {
 	}
 }
 
-// TestSpeedupTrainPostsConstrainedJOSS asserts `-train -speedup 1.4`
-// with -sched left at its JOSS default asks the daemon to train
-// exactly the constrained scheduler JOSS+1.4X.
-func TestSpeedupTrainPostsConstrainedJOSS(t *testing.T) {
-	bodies := make(chan service.WireTrainRequest, 1)
+// TestSpeedupPostsConstrainedJOSS asserts `-connect -speedup 1.4`
+// with -sched left at its JOSS default asks the daemon to run exactly
+// the constrained scheduler JOSS+1.4X.
+func TestSpeedupPostsConstrainedJOSS(t *testing.T) {
+	bodies := make(chan service.WireRunRequest, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/train" {
+		if r.URL.Path != "/run" {
 			http.NotFound(w, r)
 			return
 		}
-		var req service.WireTrainRequest
+		var req service.WireRunRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		bodies <- req
-		json.NewEncoder(w).Encode(service.WireTrainResult{})
+		json.NewEncoder(w).Encode(service.WireRunResult{})
 	}))
 	defer srv.Close()
 
-	code, stderr := runJossrun(t, "-connect", srv.URL, "-train", "-bench", "SLU", "-speedup", "1.4")
+	code, stderr := runJossrun(t, "-connect", srv.URL, "-bench", "SLU", "-speedup", "1.4")
 	if code != 0 {
-		t.Fatalf("jossrun -train -speedup 1.4: exit code %d; stderr:\n%s", code, stderr)
+		t.Fatalf("jossrun -connect -speedup 1.4: exit code %d; stderr:\n%s", code, stderr)
 	}
 	select {
 	case req := <-bodies:
-		if want := []string{"JOSS+1.4X"}; !reflect.DeepEqual(req.Schedulers, want) {
-			t.Errorf("/train schedulers = %q, want %q", req.Schedulers, want)
+		if req.Sched != "JOSS+1.4X" {
+			t.Errorf("/run sched = %q, want %q", req.Sched, "JOSS+1.4X")
 		}
 	default:
-		t.Fatal("the daemon never received a /train request")
+		t.Fatal("the daemon never received a /run request")
 	}
 }
 
@@ -105,7 +104,6 @@ func TestSpeedupWithOtherSchedIsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "SLU", "-scale", "0.01", "-sched", "GRWS", "-speedup", "1.4"},
 		{"-connect", "http://127.0.0.1:1", "-sched", "GRWS", "-speedup", "1.4"},
-		{"-connect", "http://127.0.0.1:1", "-train", "-sched", "JOSS,GRWS", "-speedup", "1.4"},
 	} {
 		code, stderr := runJossrun(t, args...)
 		if code != exitUsage {

@@ -8,9 +8,9 @@
 // throughput is not, so the memory gates catch regressions that hide
 // inside tasks/s variance.
 //
-// A candidate-internal pair holds plan pre-training to its contract:
-// PretrainedSweep (the ColdSweep request over a Train-warmed plan
-// cache) must report zero plan evaluations — the deterministic
+// A candidate-internal pair holds the warm plan cache to its contract:
+// PretrainedSweep (the ColdSweep request over a plan cache warmed by
+// one sweep) must report zero plan evaluations — the deterministic
 // proof that trained plans are adopted instead of re-searched — and
 // must stay within -pretrainratio of ColdSweep's ns/op, a loose
 // parity ceiling: single-core runners hide most of the search cost
@@ -211,12 +211,12 @@ func main() {
 		memGate("allocs/op", b.AllocsPerOp, c.AllocsPerOp, *allocThreshold)
 		memGate("B/op", b.BytesPerOp, c.BytesPerOp, *bytesThreshold)
 	}
-	// Pre-trained-vs-cold pair gate, also candidate-internal:
+	// Warm-vs-cold pair gate, also candidate-internal:
 	// PretrainedSweep runs the identical JOSS sweep ColdSweep runs,
-	// over a Train-warmed plan cache instead of a fresh one. The hard
-	// invariant is zero plan evaluations on the pre-trained row — a
-	// claim API that re-searched trained keys (or a trainer that
-	// stopped publishing plans) makes it non-zero and fails. The ns/op
+	// over a plan cache warmed by one sweep instead of a fresh one. The
+	// hard invariant is zero plan evaluations on the warm row — a cache
+	// that stopped serving published plans (or a sweep that stopped
+	// publishing them) makes it non-zero and fails. The ns/op
 	// ceiling is a loose parity guard on top: the rows differ only by
 	// search and sampling work, so they must not diverge wildly, but
 	// on a single-core runner the deleted work is a few percent of the

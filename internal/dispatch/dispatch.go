@@ -604,7 +604,13 @@ func (p *Pool) remove(j *Job) {
 }
 
 func (p *Pool) worker(id int, ws *slot) {
-	p.lowerThread()
+	if !p.lowerThread() {
+		// Locked to the main thread, which must keep its priority: the
+		// locked goroutine cannot start the replacement on it, and
+		// exiting locked parks the main thread for good.
+		go p.worker(id, ws)
+		return
+	}
 	p.mu.Lock()
 	for {
 		j := p.next()

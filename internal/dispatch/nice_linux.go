@@ -29,16 +29,27 @@ var niceWarning sync.Once
 // starts while a locked thread is current come from its template
 // thread, so the lowered value does not spread to them. If lowering
 // fails, the worker unlocks and runs at normal priority.
-func (p *Pool) lowerThread() {
+//
+// The process's main thread is never lowered: Go never lets it exit,
+// so a lowered main thread would stay at the worker priority after the
+// pool closes, and tools that read a process's priority from its main
+// thread would report the whole process lowered. A worker that finds
+// itself on the main thread returns false with the thread still
+// locked; the caller hands its role to a fresh goroutine and exits, so
+// Go parks the main thread for good at its own priority.
+func (p *Pool) lowerThread() bool {
 	runtime.LockOSThread()
 	tid := syscall.Gettid()
+	if tid == syscall.Getpid() {
+		return false
+	}
 	// The raw getpriority(2) result is 20 - nice.
 	prio, err := syscall.Getpriority(syscall.PRIO_PROCESS, tid)
 	if err == nil {
 		nice := min(20-prio+workerNiceIncrement, 19)
 		if err = syscall.Setpriority(syscall.PRIO_PROCESS, tid, nice); err == nil {
 			p.nice.Store(int64(nice))
-			return
+			return true
 		}
 	}
 	runtime.UnlockOSThread()
@@ -46,4 +57,5 @@ func (p *Pool) lowerThread() {
 	niceWarning.Do(func() {
 		slog.Warn("dispatch: cannot lower worker thread priority; simulation competes with serving", "err", err)
 	})
+	return true
 }

@@ -3,30 +3,56 @@
 package dispatch
 
 import (
+	"context"
+	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"joss/internal/obs"
 )
 
-// threadNice reads the calling thread's nice value, field 19 of
-// /proc/thread-self/stat, or reports an error and returns -1. The
-// caller must be locked to its thread or running a worker's unit.
-func threadNice(t *testing.T) int {
-	b, err := os.ReadFile("/proc/thread-self/stat")
+// mainThreadEnv, set in a re-executed test binary, locks the main
+// goroutine to the main thread in init and makes TestMain run a worker
+// there (mainThreadWorker) instead of the tests.
+const mainThreadEnv = "JOSS_DISPATCH_MAIN_THREAD_WORKER"
+
+func init() {
+	if os.Getenv(mainThreadEnv) != "" {
+		runtime.LockOSThread()
+	}
+}
+
+func TestMain(m *testing.M) {
+	if os.Getenv(mainThreadEnv) != "" {
+		mainThreadWorker()
+	}
+	os.Exit(m.Run())
+}
+
+// statNice reads the nice value, field 19, from a /proc stat file.
+func statNice(path string) (int, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Error(err)
-		return -1
+		return -1, err
 	}
 	// The command name (field 2) may hold spaces; fields 3 onward
 	// follow its closing parenthesis.
 	fields := strings.Fields(string(b[strings.LastIndexByte(string(b), ')')+1:]))
-	n, err := strconv.Atoi(fields[19-3])
+	return strconv.Atoi(fields[19-3])
+}
+
+// threadNice reads the calling thread's nice value, or reports an error
+// and returns -1. The caller must be locked to its thread or running a
+// worker's unit.
+func threadNice(t *testing.T) int {
+	n, err := statNice("/proc/thread-self/stat")
 	if err != nil {
 		t.Error(err)
 		return -1
@@ -120,5 +146,79 @@ func TestWorkerThreadsLowered(t *testing.T) {
 		if n != base {
 			t.Errorf("fresh goroutine %d runs at nice %d, want %d", i, n, base)
 		}
+	}
+}
+
+// mainThreadWorker is the child side of TestMainThreadNotLowered. Its
+// goroutine is the main goroutine, locked to the main thread since
+// init, and it enters a worker there, as a worker that lands on the
+// main thread would. A helper goroutine runs one unit through the pool
+// and prints three nice values: the main thread's before and after,
+// and the unit's thread's. It then exits the process.
+func mainThreadWorker() {
+	mainStat := fmt.Sprintf("/proc/self/task/%d/stat", os.Getpid())
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "main-thread worker:", err)
+		os.Exit(1)
+	}
+	base, err := statNice(mainStat)
+	if err != nil {
+		fail(err)
+	}
+	p := NewPool(0)
+	ws := &slot{}
+	p.mu.Lock()
+	p.slots = append(p.slots, ws)
+	p.workers++
+	p.updatePending()
+	p.mu.Unlock()
+	go func() {
+		unit := -1
+		j, err := p.Admit(Spec{
+			Cells: 1, Repeats: 1, Costs: []int{1}, Width: 1,
+			Run: func(int, Unit) { unit, _ = statNice("/proc/thread-self/stat") },
+		})
+		if err != nil {
+			fail(err)
+		}
+		j.Wait()
+		after, err := statNice(mainStat)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(base, after, unit)
+		os.Exit(0)
+	}()
+	p.worker(0, ws)
+	// The worker handed its role on; hold the main goroutine until the
+	// helper has reported.
+	time.Sleep(time.Minute)
+	fail(fmt.Errorf("the pool never ran the unit"))
+}
+
+// TestMainThreadNotLowered: a worker that starts on the process's main
+// thread leaves that thread at its priority and hands its role to a
+// worker on another thread, which runs units lowered as usual. The
+// check runs in a re-executed test binary, since only a fresh process
+// can offer its main thread to a worker.
+func TestMainThreadNotLowered(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), mainThreadEnv+"=1")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("main-thread worker: %v", err)
+	}
+	var base, after, unit int
+	if _, err := fmt.Sscan(string(out), &base, &after, &unit); err != nil {
+		t.Fatalf("main-thread worker printed %q: %v", out, err)
+	}
+	if after != base {
+		t.Errorf("main thread nice = %d after a worker started on it, want %d", after, base)
+	}
+	if want := min(base+workerNiceIncrement, 19); unit != want {
+		t.Errorf("unit nice = %d, want %d", unit, want)
 	}
 }

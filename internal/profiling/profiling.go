@@ -21,7 +21,7 @@ type Profiles struct {
 	Mem string
 	// Mutex enables contended-mutex sampling (every contention event)
 	// for the window and writes the profile at stop — the tool for
-	// "the claim API serialises trainers" class of questions.
+	// "the plan cache's lock serialises workers" class of questions.
 	Mutex string
 	// Block enables goroutine blocking sampling (every event) for the
 	// window and writes the profile at stop: time parked on channels

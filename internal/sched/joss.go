@@ -54,45 +54,11 @@ type PlanKey struct {
 type PlanCache struct {
 	mu    sync.RWMutex
 	plans map[PlanKey]CachedPlan
-	// claims is the in-flight training registry: keys some trainer has
-	// announced it is working on (Claim → ClaimAcquired) but has not
-	// yet Completed or Abandoned. It single-flights explicit
-	// pre-training — a second would-be trainer sees ClaimBusy and skips
-	// the key instead of duplicating the sampling+search. The lazy
-	// in-run path (Lookup/Store from ModelSched) ignores claims
-	// entirely: an in-run sampler must never be short-circuited, and a
-	// lazy Store racing a claim is resolved by the same
-	// first-writer-wins rule as ever.
-	claims map[PlanKey]struct{}
-	// stores counts Store/Complete publication attempts — i.e. finished
-	// sampling+search passes — including ones that lost the
-	// first-writer-wins race. Len() == Stores() therefore certifies
-	// that no key was ever searched twice.
-	stores int
 }
-
-// ClaimState classifies the outcome of PlanCache.Claim.
-type ClaimState int
-
-const (
-	// ClaimCached: the key already has a plan; it is returned and no
-	// claim is taken.
-	ClaimCached ClaimState = iota
-	// ClaimAcquired: the caller now owns training this key and must
-	// eventually Complete or Abandon it.
-	ClaimAcquired
-	// ClaimBusy: another claimant is training the key. Trainers skip —
-	// never wait — on busy keys: training output is only the cache, so
-	// skipping has no bit-identity exposure.
-	ClaimBusy
-)
 
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{
-		plans:  make(map[PlanKey]CachedPlan),
-		claims: make(map[PlanKey]struct{}),
-	}
+	return &PlanCache{plans: make(map[PlanKey]CachedPlan)}
 }
 
 // Lookup returns the cached plan for a key, if any.
@@ -108,77 +74,9 @@ func (pc *PlanCache) Lookup(k PlanKey) (CachedPlan, bool) {
 func (pc *PlanCache) Store(k PlanKey, p CachedPlan) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.stores++
 	if _, dup := pc.plans[k]; !dup {
 		pc.plans[k] = p
 	}
-}
-
-// Claim registers the caller as the trainer of a key. If the key is
-// already cached the plan is returned with ClaimCached; if another
-// claimant holds it, ClaimBusy; otherwise the claim is recorded and
-// ClaimAcquired returned — the caller must later call Complete (plan
-// in hand) or Abandon (training failed or was cancelled), or the key
-// stays claimed forever.
-func (pc *PlanCache) Claim(k PlanKey) (CachedPlan, ClaimState) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if p, ok := pc.plans[k]; ok {
-		return p, ClaimCached
-	}
-	if _, busy := pc.claims[k]; busy {
-		return CachedPlan{}, ClaimBusy
-	}
-	if pc.claims == nil {
-		pc.claims = make(map[PlanKey]struct{})
-	}
-	pc.claims[k] = struct{}{}
-	return CachedPlan{}, ClaimAcquired
-}
-
-// Complete publishes a trained plan for a claimed key and releases the
-// claim. Publication follows the same first-writer-wins rule as Store
-// (a lazy in-run Store may legally have landed first). Unlike Store it
-// counts toward Stores() only when it actually wins the write: a
-// trainer run publishes through the ordinary in-run Store and its
-// driver then Completes with the looked-up plan, so counting that
-// hand-back would double-bill a single search.
-func (pc *PlanCache) Complete(k PlanKey, p CachedPlan) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if _, dup := pc.plans[k]; !dup {
-		pc.stores++
-		pc.plans[k] = p
-	}
-	delete(pc.claims, k)
-}
-
-// Abandon releases a claim without publishing a plan (the trainer was
-// cancelled, or its search found nothing). The key becomes claimable
-// — and lazily trainable — again.
-func (pc *PlanCache) Abandon(k PlanKey) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	delete(pc.claims, k)
-}
-
-// Training returns the number of in-flight claims (keys currently
-// being trained).
-func (pc *PlanCache) Training() int {
-	pc.mu.RLock()
-	defer pc.mu.RUnlock()
-	return len(pc.claims)
-}
-
-// Stores returns the number of plan publication attempts (Store +
-// Complete calls) the cache has seen, counting first-writer-wins
-// losers. Every finished sampling+search ends in exactly one
-// publication attempt, so Stores() == Len() proves each cached key
-// was searched exactly once.
-func (pc *PlanCache) Stores() int {
-	pc.mu.RLock()
-	defer pc.mu.RUnlock()
-	return pc.stores
 }
 
 // Len returns the number of cached plans.
@@ -335,14 +233,6 @@ type ModelSched struct {
 	energyFn    search.EnergyFn
 	timeFn      search.TimeFn
 
-	// planned counts kernels currently holding a selected plan (dense
-	// slots of plans that are non-nil); when it reaches the run's
-	// kernel count every future Decide is a table hit and onAllPlanned
-	// fires (once per crossing — adaptive drift can lower the count and
-	// a later re-selection fires it again).
-	planned      int
-	onAllPlanned func()
-
 	// TotalEvals counts configuration evaluations across all kernel
 	// selections (§7.4's overhead metric).
 	TotalEvals int
@@ -400,32 +290,9 @@ func (s *ModelSched) Reset(set *models.Set) {
 	}
 	s.planCache = nil
 	s.planScale = 0
-	s.planned = 0
-	s.onAllPlanned = nil
 	s.TotalEvals = 0
 	s.Resamples = 0
 	s.LastSelectionSec = 0
-}
-
-// SetCompletionHook arranges fn to be called (on the simulation
-// goroutine, inside Decide/TaskDone) the moment every kernel of the
-// attached run holds a selected plan — from then on the scheduler does
-// pure table lookups, so a results-discarded trainer run can trip the
-// cooperative cancel and skip the remaining makespan. Cleared by
-// Reset, like the plan cache.
-func (s *ModelSched) SetCompletionHook(fn func()) {
-	s.onAllPlanned = fn
-}
-
-// notePlanned records a kernel's nil→non-nil plan transition and fires
-// the completion hook when the last one lands. Called after the plan
-// (and any cache publication) is in place, so a hook observer sees the
-// finished state.
-func (s *ModelSched) notePlanned() {
-	s.planned++
-	if s.onAllPlanned != nil && len(s.plans) > 0 && s.planned == len(s.plans) {
-		s.onAllPlanned()
-	}
 }
 
 // takeSampler pops a recycled sampler (or builds the first ones).
@@ -461,13 +328,10 @@ func (s *ModelSched) SetPlanCache(pc *PlanCache, scale float64) {
 	s.planScale = scale
 }
 
-// PlanKeyAt builds the cache key one kernel trains under with this
-// scheduler's options at the given workload scale — exactly the key
-// Decide consults and selectConfig publishes when the scheduler runs
-// with SetPlanCache(pc, scale). Exported so the pre-training pipeline
-// can enumerate a grid's distinct keys without running a simulation;
-// only the kernel's Name and Demand are read.
-func (s *ModelSched) PlanKeyAt(k *dag.Kernel, scale float64) PlanKey {
+// planKey builds the cache key for one kernel under this scheduler's
+// options at the attached cache's scale: the key Decide consults and
+// selectConfig publishes. Only the kernel's Name and Demand are read.
+func (s *ModelSched) planKey(k *dag.Kernel) PlanKey {
 	return PlanKey{
 		Kernel:              k.Name,
 		Demand:              k.Demand,
@@ -478,14 +342,8 @@ func (s *ModelSched) PlanKeyAt(k *dag.Kernel, scale float64) PlanKey {
 		Exhaustive:          s.opt.Exhaustive,
 		CoarsenThresholdSec: s.opt.CoarsenThresholdSec,
 		CoarsenWindowSec:    s.opt.CoarsenWindowSec,
-		Scale:               scale,
+		Scale:               s.planScale,
 	}
-}
-
-// planKey builds the cache key for one kernel under this scheduler's
-// options.
-func (s *ModelSched) planKey(k *dag.Kernel) PlanKey {
-	return s.PlanKeyAt(k, s.planScale)
 }
 
 // Name implements taskrt.Scheduler.
@@ -506,7 +364,6 @@ func (s *ModelSched) Attach(rt *taskrt.Runtime) {
 	clear(s.samplers)
 	s.plans = s.plans[:nk]
 	clear(s.plans)
-	s.planned = 0
 }
 
 // Scope implements taskrt.Scheduler: tasks stay on the selected core
@@ -546,7 +403,6 @@ func (s *ModelSched) Decide(t *dag.Task) taskrt.Decision {
 			plan.batch = cp.Batch
 			plan.predictedSec = cp.PredictedSec
 			s.plans[t.Kernel.Index] = plan
-			s.notePlanned()
 			return s.Decide(t)
 		}
 	}
@@ -600,7 +456,6 @@ func (s *ModelSched) checkDrift(k *dag.Kernel, plan *kernelPlan, rec taskrt.Exec
 	}
 	if plan.driftStreak >= s.opt.DriftWindow {
 		s.plans[k.Index] = nil
-		s.planned--
 		s.planPool = append(s.planPool, plan)
 		if old := s.samplers[k.Index]; old != nil {
 			s.samplerPool = append(s.samplerPool, old)
@@ -723,7 +578,6 @@ func (s *ModelSched) selectConfig(k *dag.Kernel, ks *kernelSampler) {
 			PredictedSec: plan.predictedSec,
 		})
 	}
-	s.notePlanned()
 }
 
 // SelectedConfig returns the configuration chosen for a kernel, if

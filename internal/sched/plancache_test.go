@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"joss/internal/dag"
@@ -120,132 +118,19 @@ func TestPlanCacheKeyedIdentity(t *testing.T) {
 	}
 }
 
-// TestPlanCacheClaim walks the claim lifecycle sequentially: acquire,
-// busy for a second claimant (single-flight skips, never waits),
-// Abandon re-opens the key, Complete publishes and later claimants see
-// ClaimCached — and the Stores() accounting holds Stores() == Len()
-// even when a lazy in-run Store landed under the claim (the trainer
-// driver's Complete with the looked-up plan must not double-bill the
-// search).
-func TestPlanCacheClaim(t *testing.T) {
-	pc := NewPlanCache()
-	k := planKeyFor("train", "JOSS", GoalMinEnergy)
-
-	if _, st := pc.Claim(k); st != ClaimAcquired {
-		t.Fatalf("first Claim = %v, want ClaimAcquired", st)
-	}
-	if pc.Training() != 1 {
-		t.Fatalf("Training = %d after acquire, want 1", pc.Training())
-	}
-	if _, st := pc.Claim(k); st != ClaimBusy {
-		t.Fatalf("second Claim = %v, want ClaimBusy", st)
-	}
-	pc.Abandon(k)
-	if pc.Training() != 0 {
-		t.Fatalf("Training = %d after Abandon, want 0", pc.Training())
-	}
-	if _, st := pc.Claim(k); st != ClaimAcquired {
-		t.Fatalf("Claim after Abandon = %v, want ClaimAcquired (abandoned keys are claimable again)", st)
-	}
-	pc.Complete(k, CachedPlan{Batch: 7})
-	if pc.Training() != 0 {
-		t.Fatalf("Training = %d after Complete, want 0", pc.Training())
-	}
-	p, st := pc.Claim(k)
-	if st != ClaimCached || p.Batch != 7 {
-		t.Fatalf("Claim after Complete = (%+v, %v), want the completed plan with ClaimCached", p, st)
-	}
-	if pc.Len() != 1 || pc.Stores() != 1 {
-		t.Fatalf("Len=%d Stores=%d after one Complete, want 1/1", pc.Len(), pc.Stores())
-	}
-
-	// The trainer-run shape: the claimed key's plan arrives via the
-	// ordinary in-run Store, then the driver Completes with the
-	// looked-up plan. One search, one billed publication.
-	k2 := planKeyFor("lazy", "JOSS", GoalMinEnergy)
-	if _, st := pc.Claim(k2); st != ClaimAcquired {
-		t.Fatalf("Claim(k2) = %v, want ClaimAcquired", st)
-	}
-	pc.Store(k2, CachedPlan{Batch: 3})
-	p2, ok := pc.Lookup(k2)
-	if !ok {
-		t.Fatal("in-run Store under a claim not visible to Lookup")
-	}
-	pc.Complete(k2, p2)
-	if pc.Training() != 0 {
-		t.Fatalf("Training = %d after store-then-Complete, want 0", pc.Training())
-	}
-	if pc.Stores() != pc.Len() {
-		t.Fatalf("Stores=%d Len=%d: Complete double-billed a search the in-run Store already counted",
-			pc.Stores(), pc.Len())
-	}
-}
-
-// TestPlanCacheClaimConcurrent races many would-be trainers over the
-// same key set (run under -race in CI). The single-flight contract:
-// every key is acquired by exactly one claimant — everyone else skips
-// with ClaimBusy or adopts with ClaimCached, nobody blocks — and once
-// the dust settles every key holds a plan, no claim is leaked, and
-// Stores() == Len() proves each key was searched exactly once.
-func TestPlanCacheClaimConcurrent(t *testing.T) {
-	pc := NewPlanCache()
-	const workers = 16
-	const kernels = 24
-	keys := make([]PlanKey, kernels)
-	for i := range keys {
-		keys[i] = planKeyFor(fmt.Sprintf("k%02d", i), "JOSS", GoalMinEnergy)
-	}
-	var acquired atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, k := range keys {
-				switch _, st := pc.Claim(k); st {
-				case ClaimAcquired:
-					acquired.Add(1)
-					// A trainer run publishes in-run, then its driver
-					// hands the looked-up plan back through Complete.
-					pc.Store(k, CachedPlan{Batch: i})
-					p, ok := pc.Lookup(k)
-					if !ok {
-						t.Error("claimed key lost its in-run Store")
-						pc.Abandon(k)
-						return
-					}
-					pc.Complete(k, p)
-				case ClaimBusy, ClaimCached:
-					// Single-flight: skip, never wait.
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := acquired.Load(); got != kernels {
-		t.Errorf("acquired %d claims for %d keys, want exactly one each", got, kernels)
-	}
-	if pc.Training() != 0 {
-		t.Errorf("Training = %d after all trainers finished, want 0 (leaked claim)", pc.Training())
-	}
-	if pc.Len() != kernels {
-		t.Errorf("Len = %d, want %d", pc.Len(), kernels)
-	}
-	if pc.Stores() != pc.Len() {
-		t.Errorf("Stores=%d Len=%d: some key was searched more than once", pc.Stores(), pc.Len())
-	}
-}
-
-// TestPlanKeyAtDiscrimination asserts the exported grid-enumeration
-// key builder separates every option that shapes a selection — and
-// stays exactly the key the in-run path trains under, which is what
-// lets Session.Train claim keys a later sweep will look up.
+// TestPlanKeyAtDiscrimination asserts the cache key a scheduler
+// trains under at a given scale separates every option that shapes a
+// selection, and that attaching a cache at that scale keys by exactly
+// the same value.
 func TestPlanKeyAtDiscrimination(t *testing.T) {
 	_, set, _ := testModels(t)
 	kn := &dag.Kernel{Name: "Jacobi", Demand: platform.TaskDemand{Kernel: "Jacobi", Ops: 1e6, Bytes: 1e5}}
 	const scale = 0.02
-	base := NewJOSS(set).PlanKeyAt(kn, scale)
+	keyAt := func(s *ModelSched, k *dag.Kernel, scale float64) PlanKey {
+		s.planScale = scale
+		return s.planKey(k)
+	}
+	base := keyAt(NewJOSS(set), kn, scale)
 
 	bigger := *kn
 	bigger.Demand.Ops = 4e6 // HT_Big's Jacobi: same name, bigger blocks
@@ -253,13 +138,13 @@ func TestPlanKeyAtDiscrimination(t *testing.T) {
 		name string
 		key  PlanKey
 	}{
-		{"JOSS_NoMemDVFS", NewJOSSNoMemDVFS(set).PlanKeyAt(kn, scale)},
-		{"STEER", NewSTEER(set).PlanKeyAt(kn, scale)},
-		{"JOSS+1.4X", NewJOSSConstrained(set, 1.4).PlanKeyAt(kn, scale)},
-		{"JOSS+MAXP", NewJOSSMaxP(set).PlanKeyAt(kn, scale)},
-		{"JOSS+EDP", NewJOSSEDP(set).PlanKeyAt(kn, scale)},
-		{"other scale", NewJOSS(set).PlanKeyAt(kn, 0.05)},
-		{"bigger demand", NewJOSS(set).PlanKeyAt(&bigger, scale)},
+		{"JOSS_NoMemDVFS", keyAt(NewJOSSNoMemDVFS(set), kn, scale)},
+		{"STEER", keyAt(NewSTEER(set), kn, scale)},
+		{"JOSS+1.4X", keyAt(NewJOSSConstrained(set, 1.4), kn, scale)},
+		{"JOSS+MAXP", keyAt(NewJOSSMaxP(set), kn, scale)},
+		{"JOSS+EDP", keyAt(NewJOSSEDP(set), kn, scale)},
+		{"other scale", keyAt(NewJOSS(set), kn, 0.05)},
+		{"bigger demand", keyAt(NewJOSS(set), &bigger, scale)},
 	}
 	seen := map[PlanKey]string{base: "JOSS base"}
 	for _, c := range cases {
@@ -270,11 +155,11 @@ func TestPlanKeyAtDiscrimination(t *testing.T) {
 		seen[c.key] = c.name
 	}
 
-	// The enumeration key must be the adoption key: a scheduler
-	// attached to a cache at the same scale keys by exactly PlanKeyAt.
+	// A scheduler attached to a cache at the same scale keys by exactly
+	// the base key.
 	s := NewJOSS(set)
 	s.SetPlanCache(NewPlanCache(), scale)
 	if got := s.planKey(kn); got != base {
-		t.Errorf("planKey() = %+v diverges from PlanKeyAt() = %+v", got, base)
+		t.Errorf("planKey() after SetPlanCache = %+v, want %+v", got, base)
 	}
 }

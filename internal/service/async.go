@@ -5,7 +5,7 @@
 // layer turns into NDJSON frames), cooperative unit-granular Cancel,
 // and Wait for the assembled SweepResult. Each handle is a record of
 // the session's one job registry (registry.go) under a "j…" id, so the
-// wire API polls, cancels and evicts it like every other job kind,
+// wire API polls, cancels and evicts it like a journal-replayed job,
 // with finished jobs retained (bounded by Config.RetainJobs) so
 // pollers can fetch results after completion.
 package service
@@ -115,14 +115,6 @@ type JobHandle struct {
 	cellAborted []atomic.Bool
 	aborted     atomic.Int64
 
-	// trainCancel is allocated only for trainer jobs
-	// (SweepRequest.trainer): one cooperative abort flag per cell, so
-	// each trainer cell stops on its own completion hook without
-	// cutting sibling cells short. earlyStopped counts the cells whose
-	// hook fired (they skipped their remaining makespan).
-	trainCancel  []atomic.Bool
-	earlyStopped atomic.Int64
-
 	// firstDispatchNS is the UnixNano stamp of the first unit reaching
 	// a worker (0 while queued; CAS-set once). cancelNS stamps the
 	// first Cancel call so finalize can observe cancel→drained latency.
@@ -192,9 +184,6 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 		start:       time.Now(),
 		record:      record{doneCh: make(chan struct{})},
 	}
-	if req.trainer {
-		h.trainCancel = make([]atomic.Bool, nCells)
-	}
 
 	// A relative deadline becomes absolute at admission, in
 	// milliseconds since the session epoch — the consistent unit the
@@ -252,11 +241,8 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 	}
 	h.d = d
 	// Registration follows admission, so a listed job always has its
-	// dispatch job. Trainer rounds (SweepRequest.trainer) get no
-	// record: the training run's "t…" record owns them.
-	if !req.trainer {
-		s.register(h, "j")
-	}
+	// dispatch job.
+	s.register(h)
 
 	// Journal the spec before finalize can possibly journal the
 	// result (finalize starts below), so replay never sees a result
@@ -399,11 +385,6 @@ func (h *JobHandle) Cancel() {
 		h.cancelNS.CompareAndSwap(0, time.Now().UnixNano())
 	}
 	h.cancel.Store(true)
-	// Trainer units poll per-cell flags instead of the job-wide one;
-	// flip them all so a cancelled training round unwinds just as fast.
-	for i := range h.trainCancel {
-		h.trainCancel[i].Store(true)
-	}
 	h.d.Cancel()
 }
 

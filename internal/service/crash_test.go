@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,17 +15,16 @@ import (
 
 // TestCrashRecoverySIGKILL is the end-to-end crash drill: a child
 // process (this test binary re-exec'd) opens a journaled session,
-// completes one sweep and one training run, gets a second of each
-// mid-run, and is then SIGKILLed — no deferred close, no flush, exactly
-// what a crash leaves behind. The parent reopens the same journal and
-// asserts the finished jobs are still served byte-identically while
-// the killed ones are reported interrupted.
+// completes one sweep, gets a second mid-run, and is then SIGKILLed —
+// no deferred close, no flush, exactly what a crash leaves behind. The
+// parent reopens the same journal and asserts the finished job is
+// still served byte-identically while the killed one is reported
+// interrupted.
 //
 // Child and parent rendezvous over stdout: the child prints
-// "FAST <id>" when the first sweep's result is journaled, "TRAINED
-// <id>" when the first training run's is, "SLOW <id>" once the second
-// sweep has completed at least one unit and "TRAINING <id>" once the
-// second training run's spec is journaled, then blocks until killed.
+// "FAST <id>" when the first sweep's result is journaled and "SLOW
+// <id>" once the second sweep has completed at least one unit, then
+// blocks until killed.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if path := os.Getenv("JOSS_CRASH_STORE"); path != "" {
 		crashHelper(path)
@@ -52,13 +49,12 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 
 	// Rendezvous: wait for both announcements, then SIGKILL while the
 	// slow job is mid-run.
-	fastID, slowID, trainedID, trainingID := "", "", "", ""
+	fastID, slowID := "", ""
 	deadline := time.AfterFunc(2*time.Minute, func() { cmd.Process.Kill() })
-	// Check trainingID before Scan: once TRAINING is announced the
-	// child prints nothing more, so another Scan would block until the
-	// deadline.
+	// Check slowID before Scan: once SLOW is announced the child prints
+	// nothing more, so another Scan would block until the deadline.
 	sc := bufio.NewScanner(out)
-	for trainingID == "" && sc.Scan() {
+	for slowID == "" && sc.Scan() {
 		line := sc.Text()
 		if id, ok := strings.CutPrefix(line, "FAST "); ok {
 			fastID = id
@@ -66,17 +62,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		if id, ok := strings.CutPrefix(line, "SLOW "); ok {
 			slowID = id
 		}
-		if id, ok := strings.CutPrefix(line, "TRAINED "); ok {
-			trainedID = id
-		}
-		if id, ok := strings.CutPrefix(line, "TRAINING "); ok {
-			trainingID = id
-		}
 	}
 	deadline.Stop()
-	if fastID == "" || slowID == "" || trainedID == "" || trainingID == "" {
-		t.Fatalf("child never announced its jobs (fast=%q slow=%q trained=%q training=%q)",
-			fastID, slowID, trainedID, trainingID)
+	if fastID == "" || slowID == "" {
+		t.Fatalf("child never announced its jobs (fast=%q slow=%q)", fastID, slowID)
 	}
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -95,16 +84,6 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 	if _, ok := journalled["spec/"+slowID]; !ok {
 		t.Fatalf("journal has no spec for the SIGKILLed job %s", slowID)
-	}
-	trainedPayload, ok := journalled["result/"+trainedID]
-	if !ok {
-		t.Fatalf("journal has no result for finished training run %s", trainedID)
-	}
-	if _, ok := journalled["result/"+trainingID]; ok {
-		t.Fatalf("journal has a result for the SIGKILLed training run %s", trainingID)
-	}
-	if _, ok := journalled["spec/"+trainingID]; !ok {
-		t.Fatalf("journal has no spec for the SIGKILLed training run %s", trainingID)
 	}
 
 	// Restart: a fresh session over the same journal, as jossd would
@@ -142,53 +121,15 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			slowID, st.UnitsTotal, crashSlowRepeats)
 	}
 
-	tst, ok := trainStatus(s, trainedID)
-	if !ok || tst.State != string(JobDone) || tst.Result == nil {
-		t.Fatalf("finished training run %s replayed as %+v, want done with a result", trainedID, tst)
-	}
-	served, err = json.Marshal(tst.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(served, trainedPayload) {
-		t.Errorf("restored training result is not byte-identical to the journaled one:\n pre-crash %s\n restored  %s",
-			trainedPayload, served)
-	}
-	tst, ok = trainStatus(s, trainingID)
-	if !ok || tst.State != string(JobInterrupted) {
-		t.Fatalf("killed training run %s replayed as %+v, want state interrupted", trainingID, tst)
-	}
-	if tst.Result != nil {
-		t.Errorf("interrupted training run %s serves a result it never produced", trainingID)
-	}
-
 	// The id sequence resumes above the dead process's jobs, and the
 	// reopened journal keeps accepting work.
 	h := mustEnqueue(t, s, crashReq(s, 1))
-	if h.ID() == fastID || h.ID() == slowID {
-		t.Errorf("post-crash job reused id %s", h.ID())
+	if n := jobSeqOf(t, h.ID()); n <= jobSeqOf(t, fastID) || n <= jobSeqOf(t, slowID) {
+		t.Errorf("post-crash job got id %s, want one above %s and %s", h.ID(), fastID, slowID)
 	}
 	if res := h.Wait(); res.Cancelled || len(res.Reports) == 0 {
 		t.Errorf("post-crash job %s did not complete: %+v", h.ID(), res)
 	}
-
-	// A new wire training run gets an id above both of the dead
-	// process's training runs.
-	srv := httptest.NewServer(NewHandler(s))
-	defer srv.Close()
-	var created WireTrainCreated
-	if code := postJSON(t, srv, "/train?async=1", crashTrainSpec, &created); code != http.StatusAccepted {
-		t.Fatalf("post-crash /train?async=1: status %d", code)
-	}
-	n := jobSeqOf(t, created.JobID)
-	if n <= jobSeqOf(t, trainedID) || n <= jobSeqOf(t, trainingID) {
-		t.Errorf("post-crash training run got id %s, want one above %s and %s", created.JobID, trainedID, trainingID)
-	}
-	rec, ok := s.Lookup(created.JobID)
-	if !ok {
-		t.Fatalf("post-crash training run %s is not registered", created.JobID)
-	}
-	<-rec.Done()
 }
 
 // jobSeqOf is the sequence number of a minted job id.
@@ -199,25 +140,6 @@ func jobSeqOf(t *testing.T, id string) int64 {
 		t.Fatalf("malformed job id %q", id)
 	}
 	return n
-}
-
-// crashTrainSpec is the quick training run the child finishes before
-// the kill, in its wire form.
-var crashTrainSpec = WireTrainRequest{
-	Benchmarks: []string{"SLU"},
-	Schedulers: []string{"JOSS"},
-	Scale:      0.02,
-}
-
-// crashTrain is the Go-API form of a wire training request, with the
-// wire spec a journaled session records at admission.
-func crashTrain(wr WireTrainRequest) TrainRequest {
-	req, err := buildTrainRequest(wr, 1)
-	if err != nil {
-		panic(err)
-	}
-	req.wireSpec, _ = json.Marshal(wr)
-	return req
 }
 
 // crashSlowRepeats sizes the to-be-killed job: ~2 s of 1-unit
@@ -238,8 +160,8 @@ func crashReq(s *Session, repeats int) SweepRequest {
 	}
 }
 
-// crashHelper is the child side: train, journal two jobs, report, and
-// wait to be killed. It never returns.
+// crashHelper is the child side: journal two jobs, report, and wait to
+// be killed. It never returns.
 func crashHelper(journal string) {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "crash helper:", err)
@@ -262,15 +184,6 @@ func crashHelper(journal string) {
 	fast.Wait() // result journaled before Wait returns
 	fmt.Printf("FAST %s\n", fast.ID())
 
-	trained, err := s.EnqueueTrain(crashTrain(crashTrainSpec))
-	if err != nil {
-		fail(err)
-	}
-	if _, err := trained.Wait(); err != nil { // result journaled before Wait returns
-		fail(err)
-	}
-	fmt.Printf("TRAINED %s\n", trained.ID())
-
 	slow, err := s.Enqueue(crashReq(s, crashSlowRepeats))
 	if err != nil {
 		fail(err)
@@ -279,15 +192,6 @@ func crashHelper(journal string) {
 		time.Sleep(time.Millisecond)
 	}
 	fmt.Printf("SLOW %s\n", slow.ID())
-
-	// Every model-driven scheduler over the whole Figure 8 grid at
-	// paper scale, one worker at a low weight beside the slow sweep:
-	// seconds of training, far longer than the kill round-trip.
-	training, err := s.EnqueueTrain(crashTrain(WireTrainRequest{Scale: 1, Parallel: 1, Weight: 0.01}))
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("TRAINING %s\n", training.ID())
 	select {} // hold the journal open mid-run until SIGKILL
 }
 

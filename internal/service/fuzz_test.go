@@ -60,7 +60,7 @@ func FuzzBuildSweepRequest(f *testing.F) {
 		if len(req.Jobs) == 0 || len(req.Jobs) > maxWireJobs {
 			t.Errorf("%d jobs, want within [1, %d]", len(req.Jobs), maxWireJobs)
 		}
-		if req.Trace != nil || req.Plans != nil || req.trainer {
+		if req.Trace != nil || req.Plans != nil {
 			t.Error("the wire set a Go-API-only field")
 		}
 		for _, j := range req.Jobs {
@@ -70,35 +70,6 @@ func FuzzBuildSweepRequest(f *testing.F) {
 			if _, err := s.ParseScheduler(j.Label); err != nil {
 				t.Errorf("job scheduler %q would panic in NewScheduler: %v", j.Label, err)
 			}
-		}
-	})
-}
-
-// FuzzBuildTrainRequest feeds arbitrary bytes through the /train
-// decode path. A request that passes must carry only values
-// EnqueueTrain and the rounds' Enqueue accept, with Parallel within
-// the session's workers.
-func FuzzBuildTrainRequest(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var wr WireTrainRequest
-		if decodeWire(data, &wr) != nil {
-			return
-		}
-		req, err := buildTrainRequest(wr, fuzzWorkers)
-		if err != nil {
-			return
-		}
-		if req.Parallel < 1 || req.Parallel > fuzzWorkers {
-			t.Errorf("Parallel = %d, want within [1, %d]", req.Parallel, fuzzWorkers)
-		}
-		if req.Weight < 0 || req.Weight > maxWireWeight || req.SensorPeriodSec < 0 {
-			t.Errorf("negative or oversized knob: weight %g, sensor_period_sec %g", req.Weight, req.SensorPeriodSec)
-		}
-		if req.Scale < 0 || req.Scale > maxWireScale {
-			t.Errorf("Scale = %g, want within [0, %d]", req.Scale, maxWireScale)
-		}
-		if req.Plans != nil {
-			t.Error("the wire set a Go-API-only field")
 		}
 	})
 }

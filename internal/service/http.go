@@ -23,8 +23,8 @@
 //	               deadline_ms} dispatch hints
 //	             → 202 {job_id, state, units, cells, workers, poll}
 //	GET  /jobs     → {jobs: [{job_id, state, units_done, units_total}]}
-//	               — every job of every kind (sweeps "j…", training runs
-//	               "t…", journal-replayed jobs) in admission order
+//	               — every job, live or journal-replayed, in admission
+//	               order
 //	GET  /jobs/{id}
 //	             → {job_id, state, units_*, cells: [per-cell progress],
 //	                elapsed_sec, result?} — result appears once done
@@ -33,34 +33,17 @@
 //	               queued units are dropped, in-flight ones finish) or
 //	               evicts a finished one, durably when it is journaled;
 //	               returns the final status
-//	POST /train    {benchmarks, schedulers, scale, seed, parallel,
-//	               weight, sensor_period_sec, sensor_off}
-//	             → {keys, trained, cached, skipped, failed, cells,
-//	                rounds, early_stopped, plan_evals, plans_trained,
-//	                elapsed_sec} — pre-trains the grid's plans
-//	                synchronously (claim-based single-flight, results
-//	                discarded, see Session.Train)
-//	POST /train?async=1
-//	             → 202 {job_id: "tN", state, keys, cells, poll} — the
-//	               training run then shows up in GET /jobs and is
-//	               pollable/cancellable at /jobs/tN like a sweep job
-//	               (sync or async, a session with a job store journals
-//	               it like a sweep; its rounds are never listed)
-//	GET  /healthz  → {plans_cached, plans_trained, training, requests,
-//	               jobs, queued_units, inflight_units, draining,
-//	               schedulers, benchmarks, uptime_sec, workers,
-//	               gomaxprocs, version, commit} —
+//	GET  /healthz  → {plans_cached, requests, jobs, queued_units,
+//	               inflight_units, draining, schedulers, benchmarks,
+//	               uptime_sec, workers, gomaxprocs, version, commit} —
 //	               jobs/queued_units/inflight_units are the live
 //	               dispatch load an operator or e2ebench polls
 //	               (inflight_units counts a unit running nested
 //	               while its worker's own unit is parked, so it can
 //	               exceed workers by the units nested right now);
-//	               plans_trained/training expose the plan cache's
-//	               size and in-flight training claims so /train
-//	               progress is observable; uptime/workers/
-//	               version identify the process (buildinfo ldflags);
-//	               gomaxprocs next to workers shows whether a
-//	               processor is left free for serving
+//	               uptime/workers/version identify the process
+//	               (buildinfo ldflags); gomaxprocs next to workers
+//	               shows whether a processor is left free for serving
 //	GET  /metrics  → the session's metric registry in Prometheus text
 //	               exposition format (joss_dispatch_*, joss_service_*,
 //	               joss_http_*, joss_jobstore_* families, and
@@ -74,7 +57,10 @@
 // share_plans defaults to true on the wire (a *bool left null): the
 // daemon exists to serve warm plans, and a second request for kernels
 // the session already trained then performs zero plan searches. Send
-// "share_plans": false for sample-every-run paper semantics.
+// "share_plans": false for sample-every-run paper semantics. Plans are
+// trained lazily, inside the runs that first need them; to warm a
+// daemon before traffic arrives, POST one /sweep over the grid clients
+// will request (same scale and seed) with share_plans left true.
 //
 // A wire "parallel" above the session's worker count (Parallel) is
 // clamped to it, so no request can grow the pool past the workers the
@@ -230,64 +216,6 @@ type WireJobStatus struct {
 	Result       *WireSweepResult `json:"result,omitempty"`
 }
 
-// WireTrainRequest is the JSON form of a pre-training request
-// (POST /train).
-type WireTrainRequest struct {
-	Benchmarks      []string `json:"benchmarks,omitempty"`
-	Schedulers      []string `json:"schedulers,omitempty"`
-	Scale           float64  `json:"scale,omitempty"`
-	Seed            *int64   `json:"seed,omitempty"` // null = 1; 0 is a valid seed
-	Parallel        int      `json:"parallel,omitempty"`
-	Weight          float64  `json:"weight,omitempty"` // 0 = DefaultTrainWeight
-	SensorPeriodSec float64  `json:"sensor_period_sec,omitempty"`
-	SensorOff       bool     `json:"sensor_off,omitempty"`
-}
-
-// WireTrainResult is the JSON form of a training outcome.
-type WireTrainResult struct {
-	Keys         int  `json:"keys"`
-	Trained      int  `json:"trained"`
-	Cached       int  `json:"cached"`
-	Skipped      int  `json:"skipped,omitempty"`
-	Failed       int  `json:"failed,omitempty"`
-	Cells        int  `json:"cells"`
-	Rounds       int  `json:"rounds"`
-	EarlyStopped int  `json:"early_stopped"`
-	PlanEvals    int  `json:"plan_evals"`
-	Cancelled    bool `json:"cancelled,omitempty"`
-	// PlansTrained is the resident cache size after training — the
-	// same number /healthz reports as plans_trained.
-	PlansTrained int     `json:"plans_trained"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	// PlanStoreError mirrors WireSweepResult.PlanStoreError.
-	PlanStoreError string `json:"plan_store_error,omitempty"`
-	// Error reports a round admission failure that ended training
-	// early (the per-key counts still reflect what ran).
-	Error string `json:"error,omitempty"`
-}
-
-// WireTrainCreated is the 202 response of POST /train?async=1.
-type WireTrainCreated struct {
-	JobID string `json:"job_id"`
-	State string `json:"state"`
-	Keys  int    `json:"keys"`
-	Cells int    `json:"cells"`
-	Poll  string `json:"poll"`
-}
-
-// WireTrainStatus is the GET /jobs/{id} response for a training run
-// ("t…" ids). Result appears once training is done.
-type WireTrainStatus struct {
-	JobID      string           `json:"job_id"`
-	State      string           `json:"state"`
-	Keys       int              `json:"keys"`
-	Trained    int              `json:"trained"`
-	Cells      int              `json:"cells"`
-	Rounds     int              `json:"rounds"`
-	ElapsedSec float64          `json:"elapsed_sec"`
-	Result     *WireTrainResult `json:"result,omitempty"`
-}
-
 // WireJobSummary is one row of the GET /jobs listing.
 type WireJobSummary struct {
 	JobID      string `json:"job_id"`
@@ -383,31 +311,6 @@ func wireJobStatus(st JobStatus) WireJobStatus {
 	return out
 }
 
-// wireTrainResult converts a training outcome for the wire.
-func (s *Session) wireTrainResult(res TrainResult, elapsedSec float64, err error) WireTrainResult {
-	out := WireTrainResult{
-		Keys:         res.Keys,
-		Trained:      res.Trained,
-		Cached:       res.Cached,
-		Skipped:      res.Skipped,
-		Failed:       res.Failed,
-		Cells:        res.Cells,
-		Rounds:       res.Rounds,
-		EarlyStopped: res.EarlyStopped,
-		PlanEvals:    res.PlanEvals,
-		Cancelled:    res.Cancelled,
-		PlansTrained: s.Plans().Len(),
-		ElapsedSec:   elapsedSec,
-	}
-	if res.PlanStoreErr != nil {
-		out.PlanStoreError = res.PlanStoreErr.Error()
-	}
-	if err != nil {
-		out.Error = err.Error()
-	}
-	return out
-}
-
 // wireStatus snapshots a sweep for GET /jobs/{id}. The done check
 // precedes the status snapshot, so a body carrying a result always
 // reports the done/cancelled state (a finish racing the other way just
@@ -426,80 +329,6 @@ func (h *JobHandle) wireSummary() WireJobSummary {
 	st := h.Status()
 	return WireJobSummary{JobID: st.ID, State: string(st.State),
 		UnitsDone: st.UnitsDone, UnitsTotal: st.UnitsTotal}
-}
-
-// wireStatus snapshots a training run for the wire; its result appears
-// once training is done.
-func (h *TrainHandle) wireStatus(bool) any {
-	done := h.done()
-	p := h.Progress()
-	st := WireTrainStatus{
-		JobID:      h.id,
-		State:      h.TrainState(),
-		Keys:       p.Keys,
-		Trained:    p.Trained,
-		Cells:      p.Cells,
-		Rounds:     p.Rounds,
-		ElapsedSec: h.Elapsed().Seconds(),
-	}
-	if done {
-		wr := h.s.wireTrainResult(h.result, st.ElapsedSec, h.err)
-		st.Result = &wr
-	}
-	return st
-}
-
-// wireSummary lists a training run by grid keys (resolved / total), the
-// granularity training progresses at.
-func (h *TrainHandle) wireSummary() WireJobSummary {
-	p := h.Progress()
-	return WireJobSummary{JobID: h.id, State: h.TrainState(),
-		UnitsDone: p.Trained + p.Cached + p.Skipped + p.Failed, UnitsTotal: p.Keys}
-}
-
-// buildTrainRequest validates a wire training request against the
-// wire bounds and fills defaults, clamping parallel to the session's
-// worker count. Benchmark/scheduler names resolve inside EnqueueTrain.
-func buildTrainRequest(wr WireTrainRequest, workers int) (TrainRequest, error) {
-	req := TrainRequest{
-		Benchmarks:      wr.Benchmarks,
-		Schedulers:      wr.Schedulers,
-		Scale:           wr.Scale,
-		Seed:            1,
-		Parallel:        wr.Parallel,
-		Weight:          wr.Weight,
-		SensorPeriodSec: wr.SensorPeriodSec,
-		SensorOff:       wr.SensorOff,
-	}
-	if wr.Seed != nil {
-		req.Seed = *wr.Seed
-	}
-	if req.Scale < 0 || req.Scale > maxWireScale {
-		return TrainRequest{}, fmt.Errorf("scale %g outside (0, %d]", req.Scale, maxWireScale)
-	}
-	if req.Parallel < 0 || req.SensorPeriodSec < 0 {
-		return TrainRequest{}, fmt.Errorf("parallel and sensor_period_sec must be >= 0")
-	}
-	if req.Parallel > maxWireParallel {
-		return TrainRequest{}, fmt.Errorf("parallel %d exceeds the wire limit %d", req.Parallel, maxWireParallel)
-	}
-	req.Parallel = wireParallel(req.Parallel, workers)
-	if req.Weight < 0 || req.Weight > maxWireWeight {
-		return TrainRequest{}, fmt.Errorf("weight %g outside [0, %d]", req.Weight, maxWireWeight)
-	}
-	nBench := len(wr.Benchmarks)
-	if nBench == 0 {
-		nBench = len(workloads.Fig8Configs())
-	}
-	nSched := len(wr.Schedulers)
-	if nSched == 0 {
-		nSched = len(SchedulerNames)
-	}
-	if nBench*nSched > maxWireJobs {
-		return TrainRequest{}, fmt.Errorf("%d benchmarks × %d schedulers = %d cells exceeds the wire limit %d",
-			nBench, nSched, nBench*nSched, maxWireJobs)
-	}
-	return req, nil
 }
 
 // Wire-level resource bounds: the daemon may face untrusted clients,
@@ -730,53 +559,6 @@ func NewHandler(s *Session) http.Handler {
 		writeJSON(w, http.StatusOK, s.wireSweepResult(res, time.Since(start).Seconds()))
 	})
 
-	mux.HandleFunc("/train", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-			return
-		}
-		var wr WireTrainRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBodySize)).Decode(&wr); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		treq, err := buildTrainRequest(wr, s.Parallel())
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if s.store != nil {
-			treq.wireSpec, _ = json.Marshal(wr)
-		}
-		start := time.Now()
-		h, err := s.EnqueueTrain(treq)
-		if err != nil {
-			// EnqueueTrain fails on a draining session (503 like any
-			// admission), on a failed spec journal write (500) or on
-			// names/shapes the grid cannot resolve (400); it never sees
-			// the dispatcher, so overload cannot surface here — rounds
-			// report it through Wait instead.
-			if errors.Is(err, ErrDraining) || errors.Is(err, errJournal) {
-				writeAdmitErr(w, err)
-			} else {
-				writeErr(w, http.StatusBadRequest, err)
-			}
-			return
-		}
-		if r.URL.Query().Get("async") == "1" {
-			writeJSON(w, http.StatusAccepted, WireTrainCreated{
-				JobID: h.ID(),
-				State: h.TrainState(),
-				Keys:  h.keys,
-				Cells: len(h.cells),
-				Poll:  "/jobs/" + h.ID(),
-			})
-			return
-		}
-		res, terr := h.Wait()
-		writeJSON(w, http.StatusOK, s.wireTrainResult(res, time.Since(start).Seconds(), terr))
-	})
-
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		req, ok := decodeSweep(w, r)
 		if !ok {
@@ -907,13 +689,7 @@ func NewHandler(s *Session) http.Handler {
 		}
 		jobs, queuedUnits, inflightUnits := s.Load()
 		writeJSON(w, http.StatusOK, map[string]any{
-			"plans_cached": s.Plans().Len(),
-			// plans_trained is plans_cached under its training-era name
-			// (the explicit-training surface reports it); training is
-			// the number of in-flight training claims, so an operator
-			// can watch a /train run's progress.
-			"plans_trained":  s.Plans().Len(),
-			"training":       s.Plans().Training(),
+			"plans_cached":   s.Plans().Len(),
 			"requests":       s.Requests(),
 			"jobs":           jobs,
 			"queued_units":   queuedUnits,

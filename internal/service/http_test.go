@@ -206,9 +206,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 }
 
 // TestWireParallelClamped is the wire clamp's differential: on a
-// session sized for 2 workers, a /sweep and a /train asking for 64
-// are served without growing the pool past 2, and the clamped sweep's
-// reports are byte-identical to the same request at parallel 1.
+// session sized for 2 workers, sweeps asking for 64 are served without
+// growing the pool past 2, and the clamped sweep's reports are
+// byte-identical to the same request at parallel 1.
 func TestWireParallelClamped(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Parallel = 2
@@ -220,17 +220,16 @@ func TestWireParallelClamped(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(sess))
 	defer srv.Close()
 
-	// Training first, on an empty pool: its first round holds one cell
-	// per benchmark (their kernels are disjoint), 4 units wide.
-	var tres WireTrainResult
-	if code := postJSON(t, srv, "/train", WireTrainRequest{
+	// First a sweep on the empty pool: 4 cells, 4 units wide.
+	var first WireSweepResult
+	if code := postJSON(t, srv, "/sweep", WireSweepRequest{
 		Benchmarks: []string{"SLU", "VG", "DP", "MM_256_dop4"}, Schedulers: []string{"JOSS"},
 		Scale: 0.02, Parallel: 64,
-	}, &tres); code != http.StatusOK {
-		t.Fatalf("/train parallel 64: status %d", code)
+	}, &first); code != http.StatusOK {
+		t.Fatalf("/sweep parallel 64 on the empty pool: status %d", code)
 	}
 	if w := sess.Workers(); w > 2 {
-		t.Errorf("after /train parallel 64: Workers() = %d, want <= 2", w)
+		t.Errorf("after /sweep parallel 64 on the empty pool: Workers() = %d, want <= 2", w)
 	}
 
 	sweep := func(parallel int) string {

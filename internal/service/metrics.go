@@ -18,7 +18,7 @@ import (
 // pre-registered under; requests elsewhere fold into "other" so label
 // cardinality stays fixed no matter what clients probe.
 var httpEndpoints = []string{
-	"/sweep", "/run", "/jobs", "/jobs/{id}", "/train", "/healthz", "/metrics", "other",
+	"/sweep", "/run", "/jobs", "/jobs/{id}", "/healthz", "/metrics", "other",
 }
 
 // httpCodeClasses are the response-code classes request counters are
@@ -102,7 +102,7 @@ var schedLatencyBuckets = []float64{
 // endpointLabel folds a request path into its pre-registered label.
 func endpointLabel(path string) string {
 	switch path {
-	case "/sweep", "/run", "/jobs", "/train", "/healthz", "/metrics":
+	case "/sweep", "/run", "/jobs", "/healthz", "/metrics":
 		return path
 	}
 	if strings.HasPrefix(path, "/jobs/") {

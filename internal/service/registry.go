@@ -1,40 +1,41 @@
-// The session's job registry: one record per job of every kind — live
-// sweeps (*JobHandle, ids "j1", "j2", …), live training runs
-// (*TrainHandle, "t1", …) and jobs replayed from the crash journal —
-// behind one map, one admission-ordered slice, one id sequence shared
-// by both prefixes, and one lock (jobMu). Every record answers the
-// same questions (Record), so the wire /jobs surface never branches on
-// kind, and one retention bound (Config.RetainJobs) evicts the oldest
-// finished records of every kind.
+// The session's job registry: one record per job — live sweeps
+// (*JobHandle, ids "j1", "j2", …) and jobs replayed from the crash
+// journal — behind one map, one admission-ordered slice, one id
+// sequence and one lock (jobMu). Both kinds answer the same questions
+// (Record), so the wire /jobs surface never branches on kind, and one
+// retention bound (Config.RetainJobs) evicts the oldest finished
+// records of both.
 //
 // Crash recovery: a session configured with Config.JobStorePath
-// journals every wire-submitted sweep and training run — its spec at
-// admission, its wire result at completion — and replays the journal
-// at New. A replayed job is a record with no live handle: it is always
-// done, cancelling it does nothing, and it serves its journaled result
-// byte for byte, or state "interrupted" when the previous process died
-// before the result, so clients know to resubmit. Its kind comes from
-// its id prefix. Ids stay unique across restarts because the sequence
-// resumes above the highest replayed id, and every removal of a
-// journaled record — DELETE and retention eviction alike — journals an
-// evict so the record stays gone after the next restart.
+// journals every wire-submitted sweep — its spec at admission, its
+// wire result at completion — and replays the journal at New. A
+// replayed job is a record with no live handle: it is always done,
+// cancelling it does nothing, and it serves its journaled result byte
+// for byte, or state "interrupted" when the previous process died
+// before the result, so clients know to resubmit. Ids stay unique
+// across restarts because the sequence resumes above the highest
+// replayed id, and every removal of a journaled record — DELETE and
+// retention eviction alike — journals an evict so the record stays
+// gone after the next restart. Older builds also journaled plan
+// pre-training runs under "t…" ids; replay drops those records and
+// journals their eviction, so the next compaction removes them.
 package service
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strconv"
 
 	"joss/internal/jobstore"
 	"joss/internal/workloads"
 )
 
-// Record is one entry of the session's job registry: a *JobHandle, a
-// *TrainHandle, or a job replayed from the journal.
+// Record is one entry of the session's job registry: a *JobHandle or
+// a job replayed from the journal.
 type Record interface {
-	// ID is the session-unique id: "jN" for sweeps, "tN" for training
-	// runs, N drawn from one sequence.
+	// ID is the session-unique id, "jN".
 	ID() string
 	// Done is closed once the job has finished; a replayed job's is
 	// closed from the start.
@@ -44,8 +45,8 @@ type Record interface {
 	Cancel()
 	// wireStatus is the job's GET /jobs/{id} body. withResult is false
 	// for the DELETE answer, where a live sweep has always reported its
-	// progress snapshot alone; replayed and training records embed their
-	// result in the status and carry it either way.
+	// progress snapshot alone; a replayed record embeds its result in
+	// the status and carries it either way.
 	wireStatus(withResult bool) any
 	// wireSummary is the job's GET /jobs row.
 	wireSummary() WireJobSummary
@@ -75,14 +76,13 @@ func (r *record) done() bool {
 	}
 }
 
-// register gives rec the next id of the shared sequence under its kind
-// prefix ("j" or "t"), adds it to the registry in admission order and
-// applies the retention bound.
-func (s *Session) register(rec Record, prefix string) {
+// register gives rec the next id of the sequence, adds it to the
+// registry in admission order and applies the retention bound.
+func (s *Session) register(rec Record) {
 	e := rec.entry()
 	s.jobMu.Lock()
 	s.jobSeq++
-	e.id = prefix + strconv.FormatInt(s.jobSeq, 10)
+	e.id = "j" + strconv.FormatInt(s.jobSeq, 10)
 	s.jobsByID[e.id] = rec
 	s.jobOrder = append(s.jobOrder, rec)
 	evicted := s.evictLocked()
@@ -216,8 +216,8 @@ func (s *Session) Remove(id string) bool {
 
 // WaitIdle blocks until every registered job has finished. Combined
 // with StartDrain (no new admissions) this is the daemon's graceful
-// shutdown barrier for fire-and-forget async jobs and training runs,
-// which no HTTP request is left waiting on.
+// shutdown barrier for fire-and-forget async jobs, which no HTTP
+// request is left waiting on.
 func (s *Session) WaitIdle() {
 	for {
 		var pending Record
@@ -240,7 +240,7 @@ func (s *Session) WaitIdle() {
 // wire status and summary are fixed at replay.
 type replayedJob struct {
 	record
-	status  any // WireJobStatus or WireTrainStatus
+	status  WireJobStatus
 	summary WireJobSummary
 }
 
@@ -257,37 +257,45 @@ var closedCh = func() chan struct{} {
 
 // openJobStore opens and replays the job journal into the registry,
 // resumes the id sequence above every replayed id, and applies the
-// retention bound to the replayed records. Called from New, before the
-// session is shared.
+// retention bound to the replayed records. A "t…" record is a plan
+// pre-training run journaled by an older build: it is dropped with one
+// log line for all of them, and its eviction is journaled so the next
+// open compacts it away. Called from New, before the session is shared.
 func (s *Session) openJobStore(path string) error {
 	store, entries, err := jobstore.Open(path)
 	if err != nil {
 		return err
 	}
+	var retired []string
 	for _, e := range entries {
 		prefix, n, ok := parseJobID(e.ID)
 		if !ok {
 			store.Close()
 			return fmt.Errorf("service: job journal %s holds foreign job id %q", path, e.ID)
 		}
-		rj := &replayedJob{record: record{id: e.ID, journaled: true, doneCh: closedCh}}
 		if prefix == "t" {
-			rj.replayTrain(e)
-		} else {
-			rj.replaySweep(e)
+			retired = append(retired, e.ID)
+			continue
 		}
+		rj := &replayedJob{record: record{id: e.ID, journaled: true, doneCh: closedCh}}
+		rj.replaySweep(e)
 		s.jobsByID[e.ID] = rj
 		s.jobOrder = append(s.jobOrder, rj)
 		s.jobSeq = max(s.jobSeq, n)
 	}
 	s.store = store
+	if len(retired) > 0 {
+		slog.Warn("service: dropping pre-training runs from the job journal; plan pre-training is retired",
+			"journal", path, "jobs", retired)
+		s.journalEvicts(retired)
+	}
 	s.journalEvicts(s.evictLocked())
 	return nil
 }
 
-// parseJobID splits an id the session could have minted — "j" or "t"
-// followed by a canonical positive decimal — into prefix and sequence
-// number.
+// parseJobID splits an id the session could have minted — "j", or the
+// "t" of an older build's pre-training runs, followed by a canonical
+// positive decimal — into prefix and sequence number.
 func parseJobID(id string) (prefix string, n int64, ok bool) {
 	if len(id) < 2 || (id[0] != 'j' && id[0] != 't') {
 		return "", 0, false
@@ -325,30 +333,6 @@ func (j *replayedJob) replaySweep(e jobstore.Entry) {
 	}
 	j.status = st
 	j.summary = WireJobSummary{JobID: e.ID, State: st.State, UnitsDone: st.UnitsDone, UnitsTotal: st.UnitsTotal}
-}
-
-// replayTrain renders a replayed training run in the WireTrainStatus
-// schema, its journaled result served verbatim; an interrupted run
-// carries no counts.
-func (j *replayedJob) replayTrain(e jobstore.Entry) {
-	j.status = WireTrainStatus{JobID: e.ID, State: string(JobInterrupted)}
-	j.summary = WireJobSummary{JobID: e.ID, State: string(JobInterrupted)}
-	var res WireTrainResult
-	if e.Result != nil && json.Unmarshal(e.Result, &res) == nil {
-		state := trainDoneState(res.Error != "", res.Cancelled)
-		j.status = WireTrainStatus{
-			JobID:      e.ID,
-			State:      state,
-			Keys:       res.Keys,
-			Trained:    res.Trained,
-			Cells:      res.Cells,
-			Rounds:     res.Rounds,
-			ElapsedSec: res.ElapsedSec,
-			Result:     &res,
-		}
-		j.summary = WireJobSummary{JobID: e.ID, State: state,
-			UnitsDone: res.Trained + res.Cached + res.Skipped + res.Failed, UnitsTotal: res.Keys}
-	}
 }
 
 // unitsFromWireSpec recomputes an interrupted sweep's admitted unit

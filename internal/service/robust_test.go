@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -459,6 +460,47 @@ func TestJobDeleteDurable(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET %s after DELETE and restart: status %d, want 404", created.Poll, resp.StatusCode)
+	}
+}
+
+// TestJobJournalDropsRetiredTrainRuns opens a journal written by an
+// older build, holding a finished plan pre-training run "t1" beside an
+// interrupted sweep "j2", three times in a row. Every open lists only
+// j2; the first journals t1's eviction, so a later open compacts t1 out
+// of the file.
+func TestJobJournalDropsRetiredTrainRuns(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.DisableMetrics = true
+	cfg.JobStorePath = filepath.Join(t.TempDir(), "jobs.ndjson")
+	journal := `{"kind":"spec","id":"t1","payload":{"benchmarks":["SLU"],"schedulers":["JOSS"],"scale":0.02}}
+{"kind":"result","id":"t1","payload":{"keys":4,"trained":1,"cached":0,"failed":3,"cells":1,"rounds":1,"early_stopped":0,"plan_evals":12,"plans_trained":1,"elapsed_sec":0.005}}
+{"kind":"spec","id":"j2","payload":{"benchmarks":["SLU"],"schedulers":["GRWS"],"scale":0.02,"repeats":2}}
+`
+	if err := os.WriteFile(cfg.JobStorePath, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for open := 1; open <= 3; open++ {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		var listing struct{ Jobs []WireJobSummary }
+		if err := json.Unmarshal(wireListing(t, s), &listing); err != nil {
+			t.Fatal(err)
+		}
+		if len(listing.Jobs) != 1 || listing.Jobs[0].JobID != "j2" || listing.Jobs[0].State != string(JobInterrupted) {
+			t.Errorf("open %d: GET /jobs = %+v, want only j2, interrupted", open, listing.Jobs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := os.ReadFile(cfg.JobStorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(b, []byte(`"t1"`)) {
+		t.Errorf("journal still holds t1 after three opens:\n%s", b)
 	}
 }
 

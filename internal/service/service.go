@@ -77,9 +77,9 @@ type Config struct {
 	// SaveEvery is the flush period in requests (default 1 — every
 	// request that may have trained something writes the store back).
 	SaveEvery int
-	// RetainJobs bounds the finished jobs of every kind kept for lookup
-	// by id — sweeps, training runs and journal-replayed jobs alike
-	// (default 256; active jobs are never evicted).
+	// RetainJobs bounds the finished jobs kept for lookup by id — live
+	// and journal-replayed alike (default 256; active jobs are never
+	// evicted).
 	RetainJobs int
 	// MaxJobs and MaxQueuedUnits bound admission (0 = unbounded):
 	// MaxJobs caps concurrently admitted unfinished jobs,
@@ -90,18 +90,18 @@ type Config struct {
 	MaxJobs        int
 	MaxQueuedUnits int
 	// JobStorePath, when set, makes jobs crash-durable: every wire
-	// sweep (SweepRequest.WireSpec non-nil) and wire training run is
-	// journaled at admission and its result on completion, New replays
-	// the journal into the job registry, and Close closes the journal.
+	// sweep (SweepRequest.WireSpec non-nil) is journaled at admission
+	// and its result on completion, New replays the journal into the
+	// job registry, and Close closes the journal.
 	// A session owns its journal exclusively (flock) from New to Close.
 	JobStorePath string
 	// PlanFlushPeriod, when positive (and PlanStorePath is set), adds a
 	// timer to the plan-store publication cadence: a background loop
 	// flushes the resident cache (lock-and-merge) whenever it has
 	// outgrown the store since the last flush, even while no requests
-	// complete — so plans trained by a long-running job or an explicit
-	// Train reach other processes sharing the plan store without
-	// waiting for the next per-request flush. Stopped by Close.
+	// complete — so plans trained by a long-running job reach other
+	// processes sharing the plan store without waiting for the next
+	// per-request flush. Stopped by Close.
 	PlanFlushPeriod time.Duration
 	// DisableMetrics builds the session without its obs.Registry: no
 	// metric families are registered, every instrumentation hook is
@@ -147,18 +147,16 @@ type Session struct {
 	workerMu sync.Mutex
 	workers  []*worker
 
-	// costMu guards the ⟨workload name, scale⟩ → cell-info memo (task
-	// count for dispatch costing, kernel identities for plan-key
-	// enumeration) and its scratch graph; a distinct workload pays one
-	// scratch DAG build per session, after which dispatch planning is
-	// allocation-free.
+	// costMu guards the ⟨workload name, scale⟩ → task-count memo
+	// (dispatch costing) and its scratch graph; a distinct workload
+	// pays one scratch DAG build per session, after which dispatch
+	// planning is allocation-free.
 	costMu sync.Mutex
-	costs  map[costKey]cellInfo
+	costs  map[costKey]int
 	costG  *dag.Graph
 
-	// jobMu guards the job registry (registry.go): every record of
-	// every kind by id and in admission order, and the id sequence the
-	// "j…" and "t…" prefixes share.
+	// jobMu guards the job registry (registry.go): every record by id
+	// and in admission order, and the id sequence.
 	jobMu    sync.Mutex
 	jobSeq   int64
 	jobsByID map[string]Record
@@ -211,7 +209,7 @@ func New(cfg Config) (*Session, error) {
 		saveEvery: cfg.SaveEvery,
 		retain:    cfg.RetainJobs,
 		pool:      dispatch.NewPool(0),
-		costs:     make(map[costKey]cellInfo),
+		costs:     make(map[costKey]int),
 		jobsByID:  make(map[string]Record),
 		epoch:     time.Now(),
 	}
@@ -262,9 +260,9 @@ func New(cfg Config) (*Session, error) {
 
 // flushLoop is the timer half of the plan-store publication cadence:
 // every period it flushes the resident cache if it has outgrown the
-// store since the last flush (from any source — completed jobs,
-// explicit training, or merges by sibling processes are all visible as
-// cache growth). Errors are ignored here; the per-request flush path
+// store since the last flush (from any source — running or completed
+// jobs, or merges by sibling processes, are all visible as cache
+// growth). Errors are ignored here; the per-request flush path
 // reports them on its next attempt.
 func (s *Session) flushLoop(period time.Duration) {
 	defer s.flushWG.Done()
@@ -456,13 +454,6 @@ type SweepRequest struct {
 	// would race on the one Trace. The HTTP layer sets it for
 	// POST /run?trace=1.
 	Trace *trace.Trace
-	// trainer marks the request as a results-discarded training round
-	// (set only by Session.Train's driver): its units run under
-	// per-cell cancel flags, and model schedulers get a completion hook
-	// that trips the cell's flag once every kernel holds a selected
-	// plan — the run's remaining makespan produces nothing the trainer
-	// wants, so it is abandoned at the next cancel poll.
-	trainer bool
 }
 
 // SweepResult carries a request's reports plus the service-level
@@ -553,56 +544,28 @@ func (s *Session) ensureWorkers(n int) {
 	s.pool.Grow(n)
 }
 
-// costKey memoizes per-⟨workload name, scale⟩ cell facts.
+// costKey memoizes per-⟨workload name, scale⟩ task counts.
 type costKey struct {
 	name  string
 	scale float64
 }
 
-// kernelIdent is a kernel's cache-relevant identity — the two fields
-// sched.PlanKey reads from a dag.Kernel — detached from any built
-// graph so the memo survives arena reuse.
-type kernelIdent struct {
-	name   string
-	demand platform.TaskDemand
-}
-
-// cellInfo is the memoized shape of one ⟨workload, scale⟩ cell: the
-// DAG task count (its dispatch cost) and its kernel identities (what
-// plan-key enumeration needs).
-type cellInfo struct {
-	tasks   int
-	kernels []kernelIdent
-}
-
-// cellFacts returns the workload's memoized cell info at the given
-// scale. The first lookup per ⟨name, scale⟩ pays one scratch build
-// into a session-resident recycled arena; every later one is a map
-// hit, so admission-time planning allocates nothing once the session
-// has seen its workloads.
-func (s *Session) cellFacts(wl workloads.Config, scale float64) cellInfo {
+// taskCount returns the workload's DAG task count at the given scale —
+// the dispatch cost of one of its run units. The first lookup per
+// ⟨name, scale⟩ pays one scratch build into a session-resident recycled
+// arena; every later one is a map hit, so admission-time planning
+// allocates nothing once the session has seen its workloads.
+func (s *Session) taskCount(wl workloads.Config, scale float64) int {
 	k := costKey{wl.Name, scale}
 	s.costMu.Lock()
 	defer s.costMu.Unlock()
-	if c, ok := s.costs[k]; ok {
-		return c
+	if n, ok := s.costs[k]; ok {
+		return n
 	}
 	s.costG = wl.BuildReuse(s.costG, scale)
-	c := cellInfo{
-		tasks:   s.costG.NumTasks(),
-		kernels: make([]kernelIdent, 0, len(s.costG.Kernels)),
-	}
-	for _, kn := range s.costG.Kernels {
-		c.kernels = append(c.kernels, kernelIdent{kn.Name, kn.Demand})
-	}
-	s.costs[k] = c
-	return c
-}
-
-// taskCount returns the workload's DAG task count at the given scale —
-// the dispatch cost of one of its run units.
-func (s *Session) taskCount(wl workloads.Config, scale float64) int {
-	return s.cellFacts(wl, scale).tasks
+	n := s.costG.NumTasks()
+	s.costs[k] = n
+	return n
 }
 
 // cellCosts appends each cell's dispatch cost to buf and returns it.
@@ -683,23 +646,6 @@ func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Rep
 	opt := runOptions(req, seed)
 	opt.Cancel = &h.cancel
 	opt.Yield = w.yield
-	if req.trainer {
-		// Trainer units poll a per-cell flag instead of the job-wide
-		// one, so each cell stops independently the moment its model
-		// scheduler has selected every kernel's plan (the completion
-		// hook below). All plan-cache Stores happen at selection time,
-		// strictly before the hook fires, so an early-stopped trainer
-		// publishes exactly the plans a full run would. Cancel() still
-		// works: it sets every trainCancel flag too.
-		opt.Cancel = &h.trainCancel[cell]
-		if ms, ok := sc.(*sched.ModelSched); ok {
-			ms.SetCompletionHook(func() {
-				if h.trainCancel[cell].CompareAndSwap(false, true) {
-					h.earlyStopped.Add(1)
-				}
-			})
-		}
-	}
 	if w.rt == nil {
 		w.rt = taskrt.New(s.oracle, sc, opt)
 	} else {

@@ -652,22 +652,12 @@ func TestSessionJobRetention(t *testing.T) {
 }
 
 // sweepStatus looks a sweep up in the job registry and returns its
-// GET /jobs/{id} body; ok is false for an unknown id or another kind.
+// GET /jobs/{id} body; ok is false for an unknown id.
 func sweepStatus(s *Session, id string) (WireJobStatus, bool) {
 	rec, ok := s.Lookup(id)
 	if !ok {
 		return WireJobStatus{}, false
 	}
 	st, ok := rec.wireStatus(true).(WireJobStatus)
-	return st, ok
-}
-
-// trainStatus is sweepStatus for training runs.
-func trainStatus(s *Session, id string) (WireTrainStatus, bool) {
-	rec, ok := s.Lookup(id)
-	if !ok {
-		return WireTrainStatus{}, false
-	}
-	st, ok := rec.wireStatus(true).(WireTrainStatus)
 	return st, ok
 }
