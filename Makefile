@@ -2,11 +2,7 @@
 
 GO ?= go
 
-# PERF_BASELINE is the committed BENCH_*.json the perf gate compares
-# against; update it when a PR intentionally moves the baseline.
-PERF_BASELINE ?= BENCH_20261017T041551.json
-
-.PHONY: tier1 fmt vet build test chaos bench bench-json perfgate profile-fig8 clean
+.PHONY: tier1 fmt vet build test chaos bench perfgate profile-fig8 clean
 
 # tier1 is the repo's merge gate: formatting, vet, build, full test
 # suite and the short benchmark smoke (one iteration per benchmark
@@ -58,19 +54,14 @@ chaos:
 
 # bench runs the perf-tracking benchmarks with allocation stats.
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkRuntimeThroughput|BenchmarkSweepReuse|BenchmarkFig8$$' -benchmem -benchtime=2s .
+	$(GO) test -run=NONE -bench='BenchmarkRuntimeThroughput|BenchmarkFig8$$' -benchmem -benchtime=2s .
 
-# bench-json writes a machine-readable BENCH_<timestamp>.json via the
-# jossbench bench subcommand (cold and warm-worker numbers).
-bench-json:
-	$(GO) run ./cmd/jossbench -reuse bench
-
-# perfgate is the CI perf regression gate: regenerate the bench report
-# and fail if tasks/s dropped >20% against the committed baseline on
-# any benchmark both report it for.
+# perfgate is the CI perf regression gate: it runs the root benchmarks
+# of a base git revision (default: the merge-base with main) and of the
+# working tree in alternating pairs and fails when the median pair
+# ratio of a gated row crosses its threshold (see cmd/perfgate).
 perfgate:
-	$(GO) run ./cmd/jossbench -reuse -benchout BENCH_perfgate.json bench
-	$(GO) run ./cmd/perfgate -baseline $(PERF_BASELINE) BENCH_perfgate.json
+	$(GO) run ./cmd/perfgate
 
 # profile-fig8 writes the CPU profile of BenchmarkFig8 (5 s) to
 # fig8.cpu.prof, keeps the test binary beside it as fig8.test for
@@ -80,4 +71,4 @@ profile-fig8:
 	$(GO) tool pprof -top -nodecount=25 fig8.test fig8.cpu.prof
 
 clean:
-	rm -f BENCH_perfgate.json fig8.cpu.prof fig8.test
+	rm -f fig8.cpu.prof fig8.test

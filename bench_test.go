@@ -1,10 +1,11 @@
-// Package joss_test hosts the benchmark harness: one testing.B
-// benchmark per table and figure of the paper's evaluation (run them
-// with `go test -bench=. -benchmem`), plus ablation benches for the
-// design choices called out in DESIGN.md §5. Custom metrics attach the
-// headline quantity of each experiment (normalised energy, accuracy,
-// evaluation reduction) to the benchmark output, so a single bench run
-// regenerates the paper's numbers alongside the usual ns/op.
+// Package joss_test hosts the repository's one benchmark harness: one
+// testing.B benchmark per table and figure of the paper's evaluation
+// (run them with `go test -bench=. -benchmem`), ablation benches for
+// the design choices of the paper's §5, and the rows cmd/perfgate
+// gates on. Custom metrics attach the headline quantity of each
+// experiment (normalised energy, accuracy, evaluation reduction) to
+// the benchmark output, so a single bench run regenerates the paper's
+// numbers alongside the usual ns/op.
 package joss_test
 
 import (
@@ -13,8 +14,10 @@ import (
 	"testing"
 
 	"joss/internal/exp"
+	"joss/internal/obs"
 	"joss/internal/platform"
 	"joss/internal/sched"
+	"joss/internal/service"
 	"joss/internal/taskrt"
 	"joss/internal/workloads"
 )
@@ -88,6 +91,7 @@ func BenchmarkFig5(b *testing.B) {
 // geomean energies normalised to GRWS.
 func BenchmarkFig8(b *testing.B) {
 	e := benchEnv(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var res *exp.Fig8Result
 	for i := 0; i < b.N; i++ {
@@ -245,50 +249,183 @@ func BenchmarkAblationSampling(b *testing.B) {
 	}
 }
 
+// The rows below, with BenchmarkFig8, are the ones cmd/perfgate gates.
+
 // BenchmarkRuntimeThroughput measures raw simulator throughput: tasks
 // executed per second of wall time under the cheapest scheduler. Each
 // iteration pays the full cold-start cost (fresh Runtime, Machine and
-// graph) — the baseline BenchmarkSweepReuse amortises.
+// graph) — the baseline BenchmarkRuntimeThroughputWarm amortises.
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	e := benchEnv(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	tasks := 0
 	for i := 0; i < b.N; i++ {
 		rep := e.Run("GRWS", workloads.SLU(0.05))
 		tasks += rep.Stats.TasksExecuted
 	}
-	b.ReportMetric(float64(tasks)/b.Elapsed().Seconds(), "tasks/s")
+	reportTasks(b, tasks)
 }
 
-// BenchmarkSweepReuse measures the same simulation as
-// BenchmarkRuntimeThroughput executed the way a warm sweep worker runs
-// it: the Runtime is rewound with Reset (retaining engine event pool,
-// machine, exec-state/decision pools and the oracle memo) and the
-// graph is rebuilt into recycled arenas. allocs/op is the headline —
-// it must sit far below the ~422/op cold-start figure.
-func BenchmarkSweepReuse(b *testing.B) {
+// BenchmarkJOSSRun is model-driven scheduling end to end (sampling,
+// selection, DVFS) on a cold runtime.
+func BenchmarkJOSSRun(b *testing.B) {
 	e := benchEnv(b)
-	var slu workloads.Config
-	for _, c := range workloads.Fig8Configs() {
-		if c.Name == "SLU" {
-			slu = c
-		}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run("JOSS", workloads.SLU(0.05))
 	}
+}
+
+// BenchmarkMetricsHotPath is one counter increment plus one histogram
+// observation — the cost every instrumented dispatch claim pays. The
+// gate holds it at exactly 0 allocs/op: instrumentation must never put
+// allocations on the serving path.
+func BenchmarkMetricsHotPath(b *testing.B) {
+	reg := obs.NewRegistry()
+	c := reg.NewCounter("bench_ops_total", "Hot-path benchmark counter.", nil)
+	h := reg.NewHistogram("bench_latency_seconds", "Hot-path benchmark histogram.", nil, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+		h.Observe(0.0042)
+	}
+}
+
+// BenchmarkRuntimeThroughputWarm runs the BenchmarkRuntimeThroughput
+// simulation as a warm sweep worker does: the Runtime is rewound with
+// Reset (keeping event slabs, machine, pools and the oracle memo) and
+// the graph is rebuilt into recycled arenas. Its allocs/op is a warm
+// floor; the gap to the cold row is the amortised per-run setup.
+func BenchmarkRuntimeThroughputWarm(b *testing.B) { benchWarm(b, "GRWS") }
+
+// BenchmarkJOSSRunWarm is the warm worker under JOSS, whose scheduler
+// is Reset-recycled (samplers, kernel tables and search scratch
+// retained) instead of constructed per run.
+func BenchmarkJOSSRunWarm(b *testing.B) { benchWarm(b, "JOSS") }
+
+func benchWarm(b *testing.B, schedName string) {
+	e := benchEnv(b)
+	slu, _, _ := service.FindWorkload("SLU")
 	g := slu.Build(0.05)
 	opt := taskrt.DefaultOptions()
 	opt.Seed = e.Seed
-	rt := taskrt.New(e.Oracle, sched.NewGRWS(), opt)
+	s := e.NewScheduler(schedName)
+	rt := taskrt.New(e.Oracle, s, opt)
 	rt.Run(g) // warm the worker
 	b.ReportAllocs()
 	b.ResetTimer()
 	tasks := 0
 	for i := 0; i < b.N; i++ {
 		g = slu.BuildReuse(g, 0.05)
-		rt.Sched = sched.NewGRWS()
+		if ms, ok := s.(*sched.ModelSched); ok {
+			ms.Reset(nil)
+		} else {
+			s = e.NewScheduler(schedName)
+		}
+		rt.Sched = s
 		rt.Reset(g)
 		rep := rt.Run(g)
 		tasks += rep.Stats.TasksExecuted
 	}
+	reportTasks(b, tasks)
+}
+
+// sweepJobs builds the four-workload request the session rows serve.
+func sweepJobs(sess *service.Session, schedName string) []service.Job {
+	var jobs []service.Job
+	for _, name := range []string{"SLU", "MM_256_dop4", "HT_Small", "ST_2048_dop16"} {
+		wl, _, _ := service.FindWorkload(name)
+		jobs = append(jobs, service.Job{Workload: wl, Label: schedName,
+			Make: func() taskrt.Scheduler { return sess.NewScheduler(schedName) }})
+	}
+	return jobs
+}
+
+// BenchmarkSessionSweepWarm is the service path on a warm session
+// (admission, fair-share dispatch, pool execution, per-cell merge) on a
+// repeat-heavy multi-workload request. A warm request allocates about
+// a hundred objects, so a serving-path leak shows as a multiple.
+func BenchmarkSessionSweepWarm(b *testing.B) {
+	sess := benchEnv(b).Session()
+	req := service.SweepRequest{Jobs: sweepJobs(sess, "GRWS"), Scale: 0.05, Seed: 1, Repeats: 3, Parallel: 2}
+	if _, err := sess.Submit(req); err != nil { // warm pool, arenas and schedulers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	tasks := 0
+	for i := 0; i < b.N; i++ {
+		res, err := sess.Submit(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range res.Reports {
+			for _, rep := range m {
+				tasks += rep.Stats.TasksExecuted * req.Repeats
+			}
+		}
+	}
+	reportTasks(b, tasks)
+}
+
+// BenchmarkColdSweep and BenchmarkWarmPlanSweep serve the same JOSS
+// sweep over a fresh plan cache each iteration (every cell samples and
+// searches) and over a cache one ordinary sweep filled first (every
+// cell adopts a plan, so 0 plan_evals/op proves adoption).
+func BenchmarkColdSweep(b *testing.B) { benchPlanSweep(b, false) }
+
+func BenchmarkWarmPlanSweep(b *testing.B) { benchPlanSweep(b, true) }
+
+func benchPlanSweep(b *testing.B, warm bool) {
+	sess := benchEnv(b).Session()
+	jobs := sweepJobs(sess, "JOSS")
+	req := func(pc *sched.PlanCache) service.SweepRequest {
+		return service.SweepRequest{Jobs: jobs, Scale: 0.05, Seed: 1, Repeats: 1,
+			Parallel: 2, SharePlans: true, Plans: pc}
+	}
+	warmed := sched.NewPlanCache()
+	if warm {
+		if _, err := sess.Submit(req(warmed)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	evals := 0
+	for i := 0; i < b.N; i++ {
+		pc := warmed
+		if !warm {
+			pc = sched.NewPlanCache()
+		}
+		res, err := sess.Submit(req(pc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += res.PlanEvals
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "plan_evals/op")
+}
+
+// BenchmarkFig8SharedPlans is the Figure 8 sweep with every reuse
+// lever on: worker-pool runtimes plus a cross-sweep plan cache, warmed
+// by one sweep before timing.
+func BenchmarkFig8SharedPlans(b *testing.B) {
+	e := *benchEnv(b)
+	e.SharePlans = true
+	e.Plans = sched.NewPlanCache()
+	res := e.Fig8()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = e.Fig8()
+	}
+	b.ReportMetric(res.GeoMean["JOSS"], "JOSS-vs-GRWS")
+}
+
+func reportTasks(b *testing.B, tasks int) {
 	b.ReportMetric(float64(tasks)/b.Elapsed().Seconds(), "tasks/s")
 }
 

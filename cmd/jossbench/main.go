@@ -4,18 +4,14 @@
 // Usage:
 //
 //	jossbench [-scale F] [-parallel N] [-csv] [-shareplans] [-planstore FILE]
-//	          [-sensorperiod S] [-nosensor] [-reuse]
+//	          [-sensorperiod S] [-nosensor]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //	          [-mutexprofile FILE] [-blockprofile FILE]
-//	          fig1|fig2|fig5|fig8|fig8split|fig9|fig10|overhead|extras|dopsweep|slu|table1|bench|all
+//	          fig1|fig2|fig5|fig8|fig8split|fig9|fig10|overhead|extras|dopsweep|slu|table1|all
 //
-// Each subcommand prints the corresponding experiment's rows (see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-// vs paper numbers). The bench subcommand runs the simulator
-// micro-benchmarks and writes a machine-readable BENCH_<timestamp>.json
-// so the perf trajectory is tracked across PRs; with -reuse it also
-// captures warm-worker numbers (Reset-reused runtimes, recycled graph
-// arenas, shared plans) next to the cold ones.
+// Each subcommand prints the corresponding experiment's rows. The
+// simulator's performance rows are ordinary benchmarks in the root
+// package's bench_test.go (`go test -bench`), gated by cmd/perfgate.
 package main
 
 import (
@@ -50,16 +46,12 @@ func run() (code int) {
 		"power sensor sampling period in seconds (0 = the paper's 5 ms); coarser periods cut simulation events on large sweeps")
 	noSensor := flag.Bool("nosensor", false,
 		"disable the sampled power sensor for throughput sweeps; energies fall back to the event-exact integral")
-	benchOut := flag.String("benchout", "",
-		"bench mode: output path (default BENCH_<timestamp>.json)")
-	benchReuse := flag.Bool("reuse", false,
-		"bench mode: also run warm-worker variants (Reset-reused runtime, recycled graph arenas) so the report captures cold and warm numbers")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a contended-mutex profile to this file on exit")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: jossbench [flags] fig1|fig2|fig5|fig8|fig8split|fig9|fig10|overhead|extras|dopsweep|slu|table1|bench|all\n")
+		fmt.Fprintf(os.Stderr, "usage: jossbench [flags] fig1|fig2|fig5|fig8|fig8split|fig9|fig10|overhead|extras|dopsweep|slu|table1|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -98,22 +90,6 @@ func run() (code int) {
 			}
 		}
 	}()
-
-	// bench builds its own fixed-scale environment; dispatch before
-	// paying the full-scale profile-and-train below. Sweep-only knobs
-	// are rejected rather than silently ignored.
-	if flag.Arg(0) == "bench" {
-		if *planStore != "" || *sensorPeriod != 0 || *noSensor {
-			fmt.Fprintln(os.Stderr,
-				"jossbench: -planstore/-sensorperiod/-nosensor apply to sweeps, not the bench subcommand")
-			return 2
-		}
-		if err := runBench(*benchOut, *benchReuse); err != nil {
-			fmt.Fprintln(os.Stderr, "jossbench:", err)
-			return 1
-		}
-		return 0
-	}
 
 	e, err := exp.NewEnv(*scale)
 	if err != nil {

@@ -1,275 +1,338 @@
-// Command perfgate is the CI performance regression gate: it compares
-// a freshly generated BENCH_*.json (see `jossbench bench`) against the
-// committed baseline and exits non-zero when simulator throughput
-// drops by more than the threshold on any benchmark both files report
-// tasks_per_s for — or when a warm-path row (benchmarks named *Warm,
-// the Reset-recycled executor iterations) regresses in allocs/op or
-// B/op beyond their thresholds. Allocation counts are noise-free where
-// throughput is not, so the memory gates catch regressions that hide
-// inside tasks/s variance.
+// Command perfgate is the CI performance regression gate. It builds the
+// root package's benchmarks (bench_test.go) at a base git revision,
+// checked out into a temporary worktree, and in the working tree, then
+// runs the two test binaries in alternating pairs. Both sides of a pair
+// share the host and the moment's noise, so each gate reads the median
+// of the per-pair change/base ratios, printed with its quartiles.
 //
-// A candidate-internal pair holds the warm plan cache to its contract:
-// PretrainedSweep (the ColdSweep request over a plan cache warmed by
-// one sweep) must report zero plan evaluations — the deterministic
-// proof that trained plans are adopted instead of re-searched — and
-// must stay within -pretrainratio of ColdSweep's ns/op, a loose
-// parity ceiling: single-core runners hide most of the search cost
-// the warm path deletes (see PERF.md PR 9), so the time gate only
-// catches the rows diverging wildly, and the evals gate is the
-// contract.
-//
-// A second candidate-internal check is absolute: the MetricsHotPath row
-// must report exactly 0 allocs/op — the observability layer's standing
-// contract that metric updates never allocate on the serving path.
-//
-// Reports taken on different hosts are not comparable row for row:
-// when the two files disagree on num_cpu or go_version the gate still
-// runs but prints a warning naming the difference.
+// On rows both sides report, tasks/s and the *Warm rows' allocs/op and
+// B/op are gated by the ratio constants below. The change's runs alone
+// must show MetricsHotPath at 0 allocs/op and WarmPlanSweep at 0
+// plan_evals/op in every run, and a median WarmPlanSweep/ColdSweep
+// ns/op within maxWarmPlanRatio, a loose ceiling (a 1-vCPU runner hides
+// most of the search cost; PERF.md PR 9). A row the base lacks is
+// printed as new and not gated; a row the change lacks fails.
 //
 // Usage:
 //
-//	perfgate -baseline BASELINE.json [-threshold 0.20]
-//	         [-allocthreshold 0.10] [-bytesthreshold 0.30]
-//	         [-pretrainratio 1.10] [CANDIDATE.json]
+//	perfgate [-base REV]
 //
-// Without an explicit candidate, the newest BENCH_*.json in the
-// working directory that is not the baseline is compared.
+// REV defaults to the merge-base of HEAD and main (origin/main without
+// a local main), or HEAD~1 when that is HEAD, as on a push to main.
+// Exit status 0: every gate passed; 1: one failed; 2: none ran (a
+// usage, git, build or run error).
 package main
 
 import (
-	"encoding/json"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"os/exec"
+	"os/signal"
 	"path/filepath"
-	"sort"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"syscall"
 )
 
-// benchFile mirrors the fields of jossbench's BenchReport that the
-// gate reads; unknown fields are ignored so the formats can evolve
-// independently.
-type benchFile struct {
-	Timestamp  string       `json:"timestamp"`
-	GoVersion  string       `json:"go_version"`
-	NumCPU     int          `json:"num_cpu"`
-	Benchmarks []benchEntry `json:"benchmarks"`
-}
+const (
+	pairs     = 10
+	benchTime = "500ms"
 
-// Alloc fields are pointers so an absent field (older report format,
-// renamed key) is distinguishable from a legitimate measured zero.
-type benchEntry struct {
-	Name        string             `json:"name"`
-	NsPerOp     *float64           `json:"ns_per_op"`
-	AllocsPerOp *int64             `json:"allocs_per_op"`
-	BytesPerOp  *int64             `json:"bytes_per_op"`
-	Metrics     map[string]float64 `json:"metrics"`
-}
+	minRateRatio     = 0.80 // tasks/s, change/base
+	maxAllocRatio    = 1.10 // allocs/op on *Warm rows, change/base
+	maxBytesRatio    = 1.30 // B/op on *Warm rows, change/base
+	maxWarmPlanRatio = 1.10 // WarmPlanSweep/ColdSweep ns/op within the change
+)
 
-func readBench(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
+// rows are the gated benchmarks of bench_test.go.
+var rows = []string{"RuntimeThroughput", "JOSSRun", "MetricsHotPath",
+	"RuntimeThroughputWarm", "JOSSRunWarm", "SessionSweepWarm",
+	"ColdSweep", "WarmPlanSweep", "Fig8SharedPlans", "Fig8"}
+
+// run is one test-binary invocation: each row's values keyed by unit
+// (ns/op, B/op, allocs/op and the rows' custom metrics).
+type run map[string]map[string]float64
+
+func main() {
+	base := flag.String("base", "", "git revision to compare the working tree against "+
+		"(default: the merge-base of HEAD and main, or HEAD~1 when that is HEAD)")
+	flag.Parse()
+	if flag.NArg() != 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code, err := perfgate(ctx, *base)
+	stop()
 	if err != nil {
-		return nil, err
+		fmt.Fprintln(os.Stderr, "perfgate:", err)
+		code = 2
 	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &bf, nil
+	os.Exit(code)
 }
 
-// newestBench finds the most recent BENCH_*.json (lexicographic on the
-// timestamped name, which matches recency) that is not the baseline.
-func newestBench(baseline string) (string, error) {
-	matches, err := filepath.Glob("BENCH_*.json")
+func perfgate(ctx context.Context, base string) (int, error) {
+	top, err := git(ctx, "", "rev-parse", "--show-toplevel")
+	if err != nil {
+		return 0, err
+	}
+	rev, err := baseRevision(ctx, top, base)
+	if err != nil {
+		return 0, err
+	}
+	tmp, err := os.MkdirTemp("", "perfgate")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(tmp)
+	fmt.Printf("perfgate: base %.12s vs the working tree, %d alternating pairs, -test.benchtime %s\n",
+		rev, pairs, benchTime)
+
+	var runs [2][]run // base, change
+	err = withWorktree(ctx, top, rev, filepath.Join(tmp, "base"), func(dir string) error {
+		bins, dirs := [2]string{filepath.Join(tmp, "base.test"), filepath.Join(tmp, "change.test")}, [2]string{dir, top}
+		for side := range bins {
+			if err := buildTests(ctx, dirs[side], bins[side]); err != nil {
+				return fmt.Errorf("%s: %w", dirs[side], err)
+			}
+		}
+		for i := 0; i < pairs; i++ {
+			// Alternate which side goes first, so neither always
+			// inherits the other's warm caches or thermal state.
+			for _, side := range [][2]int{{0, 1}, {1, 0}}[i%2] {
+				out, err := runBench(ctx, bins[side], dirs[side])
+				if err != nil {
+					return err
+				}
+				r, host := parseBench(out)
+				if i == 0 && side == 0 {
+					fmt.Printf("%sgo: %s\n", host, runtime.Version())
+				}
+				runs[side] = append(runs[side], r)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	failures, checks := gate(os.Stdout, runs[0], runs[1])
+	switch {
+	case checks == 0:
+		return 0, fmt.Errorf("no gate ran")
+	case failures > 0:
+		fmt.Printf("perfgate: FAILED %d of %d gates\n", failures, checks)
+		return 1, nil
+	}
+	fmt.Printf("perfgate: passed %d gates\n", checks)
+	return 0, nil
+}
+
+// baseRevision resolves -base, or picks the default the package
+// comment describes.
+func baseRevision(ctx context.Context, top, base string) (string, error) {
+	if base != "" {
+		return git(ctx, top, "rev-parse", "--verify", base+"^{commit}")
+	}
+	head, err := git(ctx, top, "rev-parse", "HEAD")
 	if err != nil {
 		return "", err
 	}
-	sort.Strings(matches)
-	for i := len(matches) - 1; i >= 0; i-- {
-		if filepath.Clean(matches[i]) != filepath.Clean(baseline) {
-			return matches[i], nil
-		}
+	mb, err := git(ctx, top, "merge-base", "HEAD", "main")
+	if err != nil {
+		mb, err = git(ctx, top, "merge-base", "HEAD", "origin/main")
 	}
-	return "", fmt.Errorf("no BENCH_*.json candidate found (baseline %s)", baseline)
+	if err != nil || mb != head {
+		return mb, err
+	}
+	return git(ctx, top, "rev-parse", "--verify", "HEAD~1^{commit}")
 }
 
-func main() {
-	baseline := flag.String("baseline", "", "committed baseline BENCH_*.json (required)")
-	threshold := flag.Float64("threshold", 0.20,
-		"maximum tolerated fractional tasks/s drop before the gate fails")
-	allocThreshold := flag.Float64("allocthreshold", 0.10,
-		"maximum tolerated fractional allocs/op growth on warm rows (*Warm benchmarks)")
-	bytesThreshold := flag.Float64("bytesthreshold", 0.30,
-		"maximum tolerated fractional B/op growth on warm rows (*Warm benchmarks)")
-	pretrainRatio := flag.Float64("pretrainratio", 1.10,
-		"maximum PretrainedSweep/ColdSweep ns/op ratio in the candidate")
-	flag.Parse()
-	if *baseline == "" || flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "usage: perfgate -baseline BASELINE.json [-threshold F] [CANDIDATE.json]")
-		os.Exit(2)
-	}
-
-	candidate := ""
-	if flag.NArg() == 1 {
-		candidate = flag.Arg(0)
-	} else {
-		var err error
-		candidate, err = newestBench(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfgate:", err)
-			os.Exit(2)
+// withWorktree checks rev out into dir as a detached worktree of repo
+// (local objects only), calls fn on it and removes the worktree again
+// on every path, a cancelled context included.
+func withWorktree(ctx context.Context, repo, rev, dir string, fn func(dir string) error) (err error) {
+	defer func() {
+		ctx := context.WithoutCancel(ctx)
+		if _, rmErr := git(ctx, repo, "worktree", "remove", "--force", dir); rmErr != nil {
+			// After a failed add there is no worktree to remove: delete
+			// whatever the add left and prune its entry.
+			delErr := os.RemoveAll(dir)
+			_, pruneErr := git(ctx, repo, "worktree", "prune")
+			err = errors.Join(err, delErr, pruneErr)
 		}
+	}()
+	if _, err := git(ctx, repo, "worktree", "add", "--detach", "--quiet", dir, rev); err != nil {
+		return err
 	}
+	return fn(dir)
+}
 
-	base, err := readBench(*baseline)
+func git(ctx context.Context, dir string, args ...string) (string, error) {
+	out, err := command(ctx, dir, "git", args...)
+	return strings.TrimSpace(out), err
+}
+
+// buildTests compiles the test binary of the package in dir to out.
+// -trimpath keeps the checkout's path out of the binary, so identical
+// sources give identical code layout on both sides.
+func buildTests(ctx context.Context, dir, out string) error {
+	_, err := command(ctx, dir, "go", "test", "-c", "-trimpath", "-o", out, ".")
+	return err
+}
+
+func runBench(ctx context.Context, bin, dir string) (string, error) {
+	return command(ctx, dir, bin, "-test.run", "^$",
+		"-test.bench", "^Benchmark("+strings.Join(rows, "|")+")$",
+		"-test.benchmem", "-test.benchtime", benchTime, "-test.timeout", "10m")
+}
+
+// command runs name in dir and returns its standard output; an error
+// quotes both output streams.
+func command(ctx context.Context, dir, name string, args ...string) (string, error) {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfgate:", err)
-		os.Exit(2)
+		return "", fmt.Errorf("%s %s: %v\n%s%s", filepath.Base(name), strings.Join(args, " "), err, out, &stderr)
 	}
-	cand, err := readBench(candidate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfgate:", err)
-		os.Exit(2)
-	}
+	return string(out), nil
+}
 
-	candBy := make(map[string]benchEntry)
-	for _, b := range cand.Benchmarks {
-		candBy[b.Name] = b
-	}
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-	fmt.Printf("perfgate: %s (baseline) vs %s, thresholds: %.0f%% tasks/s drop, warm rows %.0f%% allocs/op, %.0f%% B/op\n",
-		*baseline, candidate, *threshold*100, *allocThreshold*100, *bytesThreshold*100)
-	if base.NumCPU != cand.NumCPU || base.GoVersion != cand.GoVersion {
-		fmt.Printf("perfgate: WARNING: hosts differ (baseline num_cpu %d %s, candidate num_cpu %d %s); rows may not be comparable\n",
-			base.NumCPU, base.GoVersion, cand.NumCPU, cand.GoVersion)
-	}
-	failed := false
-	compared := 0
-	for _, b := range base.Benchmarks {
-		baseV, hasBaseRate := b.Metrics["tasks_per_s"]
-		rateGated := hasBaseRate && baseV > 0
-		// Memory gates apply to the warm rows only: cold rows pay
-		// one-time setup whose allocation count is not the contract,
-		// while a warm iteration's allocs/op is the recycling invariant
-		// every PR since the worker-pool executor has defended. They do
-		// not require the row to also report tasks/s.
-		memGated := strings.HasSuffix(b.Name, "Warm") && (b.AllocsPerOp != nil || b.BytesPerOp != nil)
-		if !rateGated && !memGated {
+// parseBench reads the standard benchmark lines of a test binary's
+// output, the -N GOMAXPROCS suffix stripped from each name, and returns
+// the goos, goarch and cpu header lines beside them.
+func parseBench(out string) (run, string) {
+	r := run{}
+	host := ""
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "goos:") || strings.HasPrefix(line, "goarch:") || strings.HasPrefix(line, "cpu:") {
+			host += line + "\n"
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
 			continue
 		}
-		c, ok := candBy[b.Name]
+		f := strings.Fields(m[2])
+		vals := make(map[string]float64)
+		for j := 0; j+1 < len(f); j += 2 {
+			if v, err := strconv.ParseFloat(f[j], 64); err == nil {
+				vals[f[j+1]] = v
+			}
+		}
+		r[m[1]] = vals
+	}
+	return r, host
+}
+
+// gate prints one line per row and check and returns how many checks
+// ran and how many of them failed.
+func gate(w io.Writer, base, change []run) (failures, checks int) {
+	check := func(ok bool, row, unit, detail string) {
+		checks++
+		status := "ok"
 		if !ok {
-			fmt.Printf("  FAIL %-24s missing from candidate\n", b.Name)
-			failed = true
+			status = "FAIL"
+			failures++
+		}
+		fmt.Fprintf(w, "  %-4s %-23s %-13s %s\n", status, row, unit, detail)
+	}
+	pairGate := func(row, unit string, lo, hi float64) {
+		if r := ratios(base, change, row, unit); r != nil {
+			_, m, _ := quartiles(r)
+			check(m >= lo && m <= hi, row, unit, fmt.Sprintf("%s  gate [%.2f, %.2f]", spread(r), lo, hi))
+		}
+	}
+	for _, row := range rows {
+		if n := count(change, row); n < len(change) || n == 0 {
+			check(false, row, "", fmt.Sprintf("reported by %d of %d change runs", n, len(change)))
 			continue
 		}
-		if rateGated {
-			candV, hasRate := c.Metrics["tasks_per_s"]
-			if !hasRate {
-				fmt.Printf("  FAIL %-24s missing tasks_per_s in candidate\n", b.Name)
-				failed = true
-			} else {
-				compared++
-				drop := 1 - candV/baseV
-				status := "ok  "
-				if drop > *threshold {
-					status = "FAIL"
-					failed = true
-				}
-				fmt.Printf("  %s %-24s %12.0f -> %12.0f tasks/s (%+.1f%%)\n",
-					status, b.Name, baseV, candV, -drop*100)
-			}
-		}
-		if !memGated {
+		if count(base, row) == 0 {
+			fmt.Fprintf(w, "  %-4s %s\n", "new", row)
 			continue
 		}
-		memGate := func(metric string, baseN, candN *int64, limit float64) {
-			if baseN == nil || *baseN <= 0 {
-				// No baseline to gate against (absent field, or a zero
-				// growth cannot be computed from).
-				return
-			}
-			if candN == nil {
-				// Absent in the candidate is a missing or renamed
-				// field, not an improvement — fail loudly like the
-				// rate gate does, or the gate silently stops gating.
-				fmt.Printf("  FAIL %-24s missing %s in candidate\n", b.Name, metric)
-				failed = true
-				return
-			}
-			compared++
-			growth := float64(*candN)/float64(*baseN) - 1
-			status := "ok  "
-			if growth > limit {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Printf("  %s %-24s %12d -> %12d %s (%+.1f%%)\n",
-				status, b.Name, *baseN, *candN, metric, growth*100)
-		}
-		memGate("allocs/op", b.AllocsPerOp, c.AllocsPerOp, *allocThreshold)
-		memGate("B/op", b.BytesPerOp, c.BytesPerOp, *bytesThreshold)
-	}
-	// Warm-vs-cold pair gate, also candidate-internal:
-	// PretrainedSweep runs the identical JOSS sweep ColdSweep runs,
-	// over a plan cache warmed by one sweep instead of a fresh one. The
-	// hard invariant is zero plan evaluations on the warm row — a cache
-	// that stopped serving published plans (or a sweep that stopped
-	// publishing them) makes it non-zero and fails. The ns/op
-	// ceiling is a loose parity guard on top: the rows differ only by
-	// search and sampling work, so they must not diverge wildly, but
-	// on a single-core runner the deleted work is a few percent of the
-	// sweep and inside run-to-run noise (see PERF.md PR 9), so the
-	// ceiling sits above 1. Gated only when the baseline carries both
-	// rows.
-	baseHasTrainPair := 0
-	for _, b := range base.Benchmarks {
-		if b.Name == "ColdSweep" || b.Name == "PretrainedSweep" {
-			baseHasTrainPair++
+		fmt.Fprintf(w, "  %-4s %-23s %-13s %s\n", "", row, "ns/op", spread(ratios(base, change, row, "ns/op")))
+		pairGate(row, "tasks/s", minRateRatio, math.Inf(1))
+		if strings.HasSuffix(row, "Warm") {
+			pairGate(row, "allocs/op", 0, maxAllocRatio)
+			pairGate(row, "B/op", 0, maxBytesRatio)
 		}
 	}
-	coldRow, haveCold := candBy["ColdSweep"]
-	preRow, havePre := candBy["PretrainedSweep"]
-	if baseHasTrainPair == 2 && haveCold && havePre &&
-		coldRow.NsPerOp != nil && *coldRow.NsPerOp > 0 && preRow.NsPerOp != nil {
-		compared++
-		ratio := *preRow.NsPerOp / *coldRow.NsPerOp
-		status := "ok  "
-		if ratio > *pretrainRatio {
-			status = "FAIL"
-			failed = true
+	if len(change) == 0 {
+		return failures, checks
+	}
+	var hotAllocs, warmEvals, warmCold []float64
+	for _, r := range change {
+		hotAllocs = append(hotAllocs, r["MetricsHotPath"]["allocs/op"])
+		warmEvals = append(warmEvals, r["WarmPlanSweep"]["plan_evals/op"])
+		warmCold = append(warmCold, r["WarmPlanSweep"]["ns/op"]/r["ColdSweep"]["ns/op"])
+	}
+	check(slices.Max(hotAllocs) == 0, "MetricsHotPath", "allocs/op",
+		fmt.Sprintf("max %g over the change runs  gate 0", slices.Max(hotAllocs)))
+	check(slices.Max(warmEvals) == 0, "WarmPlanSweep", "plan_evals/op",
+		fmt.Sprintf("max %g over the change runs  gate 0", slices.Max(warmEvals)))
+	_, m, _ := quartiles(warmCold)
+	check(m <= maxWarmPlanRatio, "WarmPlanSweep/ColdSweep", "ns/op",
+		fmt.Sprintf("%s  gate [0, %.2f] within the change", spread(warmCold), maxWarmPlanRatio))
+	return failures, checks
+}
+
+func count(runs []run, row string) int {
+	n := 0
+	for _, r := range runs {
+		if _, ok := r[row]; ok {
+			n++
 		}
-		fmt.Printf("  %s %-24s %.2fx cold ns/op (ceiling %.2fx)\n",
-			status, "pretrained/cold time", ratio, *pretrainRatio)
-		if evals, ok := preRow.Metrics["plan_evals_per_op"]; ok && evals != 0 {
-			fmt.Printf("  FAIL %-24s %g plan evaluations per pre-trained sweep (want 0)\n",
-				"pretrained searches", evals)
-			failed = true
+	}
+	return n
+}
+
+// ratios returns row's change/base ratio of unit for each pair in which
+// both sides report it and the base value is not zero.
+func ratios(base, change []run, row, unit string) []float64 {
+	var out []float64
+	for i := 0; i < len(base) && i < len(change); i++ {
+		b, okB := base[i][row][unit]
+		c, okC := change[i][row][unit]
+		if okB && okC && b != 0 {
+			out = append(out, c/b)
 		}
 	}
-	// Metrics hot-path gate, candidate-internal and absolute: the
-	// MetricsHotPath row (one counter increment plus one histogram
-	// observation) must report exactly 0 allocs/op — instrumentation
-	// that allocates on the serving path is a regression no matter
-	// what the baseline says. Gated whenever the candidate carries the
-	// row, so reports from before the observability layer pass.
-	if hot, ok := candBy["MetricsHotPath"]; ok && hot.AllocsPerOp != nil {
-		compared++
-		status := "ok  "
-		if *hot.AllocsPerOp != 0 {
-			status = "FAIL"
-			failed = true
+	return out
+}
+
+func spread(vals []float64) string {
+	q1, m, q3 := quartiles(vals)
+	return fmt.Sprintf("median %.3f [%.3f, %.3f]", m, q1, q3)
+}
+
+// quartiles returns the 25th, 50th and 75th percentiles of vals,
+// interpolated linearly between order statistics (NaN when empty).
+func quartiles(vals []float64) (q1, med, q3 float64) {
+	if len(vals) == 0 {
+		return math.NaN(), math.NaN(), math.NaN()
+	}
+	s := slices.Sorted(slices.Values(vals))
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if frac := pos - float64(i); frac > 0 {
+			return s[i] + frac*(s[i+1]-s[i])
 		}
-		fmt.Printf("  %s %-24s %d allocs/op (must be 0)\n", status, "metrics hot path", *hot.AllocsPerOp)
+		return s[i]
 	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "perfgate: baseline carries no tasks_per_s metrics")
-		os.Exit(2)
-	}
-	if failed {
-		fmt.Println("perfgate: FAILED — throughput or warm-path allocations regressed beyond the thresholds")
-		os.Exit(1)
-	}
-	fmt.Println("perfgate: passed")
+	return q(0.25), q(0.5), q(0.75)
 }

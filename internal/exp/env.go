@@ -4,7 +4,7 @@
 // headline energy comparison (Figure 8), the performance-constraint
 // study (Figure 9), model accuracy (Figure 10) and the §7.4 overhead
 // analysis. Each driver returns a renderable table whose rows mirror
-// what the paper reports; EXPERIMENTS.md records paper-vs-measured.
+// what the paper reports.
 //
 // Since the warm-session refactor the drivers are thin clients of
 // service.Session: Env owns a Session whose worker pool (resident

@@ -11,7 +11,7 @@ import (
 )
 
 // ExtraSchedulerNames lists the related-work baselines implemented
-// beyond the paper's own comparison (§8 / DESIGN.md extensions).
+// beyond the paper's own comparison (its §8 related work).
 var ExtraSchedulerNames = []string{"HERMES", "OnDemand", "MemScale", "CoScale", "CATA"}
 
 // newExtraScheduler builds one of the extension baselines.

@@ -279,18 +279,3 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	}()
 	fn()
 }
-
-// BenchmarkMetricsHotPath is the perfgate-tracked registry overhead
-// row: one counter inc + one histogram observe per op — the exact
-// per-unit cost the dispatcher pays. Gate: 0 allocs/op.
-func BenchmarkMetricsHotPath(b *testing.B) {
-	r := NewRegistry()
-	c := r.NewCounter("bench_total", "", nil)
-	h := r.NewHistogram("bench_seconds", "", nil, DefBuckets)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-		h.Observe(0.0042)
-	}
-}

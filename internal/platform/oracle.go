@@ -119,7 +119,7 @@ type Oracle struct {
 }
 
 // DefaultOracle returns the calibrated TX2-like oracle used by all
-// experiments. Calibration targets (see DESIGN.md §4): Denver ≈ 3×
+// experiments. Calibration targets: Denver ≈ 3×
 // A57 per-core on compute-bound code; A57×2 cluster power ≤ ~2 W;
 // Denver×2 ≤ ~3.5 W; memory power ≤ ~2 W; CPU-side achievable DRAM
 // bandwidth in the tens of GB/s.

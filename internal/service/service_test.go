@@ -217,8 +217,8 @@ func TestCellCostsMemoized(t *testing.T) {
 }
 
 // BenchmarkCellCostsWarm measures admission-time dispatch planning on
-// a warm memo: the perfgate-visible form of the allocation-free
-// guarantee TestCellCostsMemoized asserts.
+// a warm memo. perfgate does not run it; TestCellCostsMemoized holds
+// the allocation-free guarantee.
 func BenchmarkCellCostsWarm(b *testing.B) {
 	cfg, err := DefaultConfig()
 	if err != nil {
