@@ -320,11 +320,8 @@ func spread(vals []float64) string {
 }
 
 // quartiles returns the 25th, 50th and 75th percentiles of vals,
-// interpolated linearly between order statistics (NaN when empty).
+// interpolated linearly between order statistics.
 func quartiles(vals []float64) (q1, med, q3 float64) {
-	if len(vals) == 0 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
 	s := slices.Sorted(slices.Values(vals))
 	q := func(p float64) float64 {
 		pos := p * float64(len(s)-1)
