@@ -71,7 +71,7 @@ func TestGate(t *testing.T) {
 		dropBase        bool  // the base lacks the row
 		fail            bool
 	}{
-		{name: "healthy", row: "Fig8", unit: "ns/op", val: 1000},
+		{"healthy", "Fig8", "ns/op", 1000, nil, false, false},
 		{"tasks/s at limit", "RuntimeThroughput", "tasks/s", 800, nil, false, false},
 		{"tasks/s inside", "RuntimeThroughput", "tasks/s", 801, nil, false, false},
 		{"tasks/s outside", "RuntimeThroughput", "tasks/s", 799, nil, false, true},
