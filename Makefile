@@ -38,7 +38,8 @@ test:
 # coverage-guided fuzz pass over the wire sweep decoder, over
 # job-journal replay, over plan-store loading and over jossrun's
 # Retry-After parsing (tier-1 replays only their committed seed
-# corpora).
+# corpora). Each new input is minimised for at most 100 execs: Go's
+# default of 60 s per input would use up the whole 10 s pass.
 chaos:
 	$(GO) test -race -count=3 \
 		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestJobDeleteDurable|TestSessionJobRetention|TestSessionProbeStormByteIdentical|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestSessionCloseReleasesWorkerThreads|TestSessionSmallRequestOvertakesLargeSweep' \
@@ -47,10 +48,10 @@ chaos:
 	$(GO) test -race -count=3 ./internal/jobstore
 	$(GO) test -race -count=3 -run 'TestCancel' ./internal/taskrt
 	$(GO) test -race -count=3 -run 'TestRegistryStorm' ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzBuildSweepRequest$$' -fuzztime=10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime=10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanStore$$' -fuzztime=10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzRetryDelay$$' -fuzztime=10s ./cmd/jossrun
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildSweepRequest$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanStore$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzRetryDelay$$' -fuzztime=10s -fuzzminimizetime=100x ./cmd/jossrun
 
 # bench runs the perf-tracking benchmarks with allocation stats.
 bench:

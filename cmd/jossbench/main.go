@@ -105,7 +105,7 @@ func run() (code int) {
 	e.SensorOff = *noSensor
 	if *planStore != "" {
 		e.SharePlans = true
-		n, err := e.LoadPlanStore(*planStore)
+		n, err := e.Plans.LoadFile(*planStore, e.Oracle.Spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jossbench:", err)
 			return 1
@@ -166,7 +166,7 @@ func run() (code int) {
 		if *planStore == "" {
 			return true
 		}
-		if err := e.SavePlanStore(*planStore); err != nil {
+		if err := e.Plans.SaveFileMerged(*planStore, e.Oracle.Spec); err != nil {
 			fmt.Fprintln(os.Stderr, "jossbench:", err)
 			return false
 		}

@@ -32,14 +32,13 @@
 //
 // Usage:
 //
-//	jossd [-listen ADDR] [-socket PATH] [-parallel N]
-//	      [-planstore FILE] [-saveevery N] [-flushevery DUR]
+//	jossd [-listen ADDR] [-socket PATH] [-parallel N] [-planstore FILE]
 //	      [-retainjobs N] [-maxjobs N] [-maxqueue N] [-jobstore FILE]
 //	      [-loglevel LEVEL] [-logformat text|json] [-debugaddr ADDR]
 //
-// -flushevery publishes the plan store on a timer (in addition to the
-// request-count cadence of -saveevery), so processes sharing the plan
-// store see freshly trained plans without waiting for traffic.
+// -planstore is flushed after a request, and at shutdown, whenever
+// the daemon holds plans the store has not seen; a warm daemon leaves
+// it untouched.
 //
 // -maxjobs/-maxqueue bound admission: excess requests get 429 Too Many
 // Requests with a Retry-After hint instead of queueing without bound.
@@ -113,10 +112,7 @@ func main() {
 	parallel := flag.Int("parallel", 0,
 		"simulation workers, also the per-request bound (0 = GOMAXPROCS); GOMAXPROCS is then set to workers + 1")
 	planStore := flag.String("planstore", "",
-		"persistent plan store shared with other jossd/jossbench/jossrun processes: loaded at startup, flushed lock-and-merge after requests")
-	saveEvery := flag.Int("saveevery", 1, "flush the plan store every N requests")
-	flushEvery := flag.Duration("flushevery", 0,
-		"also publish the plan store on this period when it has unsaved plans (0 = request-count cadence only)")
+		"persistent plan store shared with other jossd/jossbench/jossrun processes: loaded at startup, flushed lock-and-merge when it lacks plans the daemon trained")
 	retainJobs := flag.Int("retainjobs", 0,
 		"finished jobs (live and replayed) kept for /jobs/{id} polling (0 = default 256)")
 	maxJobs := flag.Int("maxjobs", 0, "admission bound on concurrently admitted jobs (0 = unbounded); excess requests get 429")
@@ -129,11 +125,11 @@ func main() {
 		"opt-in address for a second listener serving net/http/pprof under /debug/pprof/ (empty = off)")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: jossd [-listen ADDR] [-socket PATH] [-parallel N] [-planstore FILE] [-saveevery N] [-flushevery DUR] [-retainjobs N] [-maxjobs N] [-maxqueue N] [-jobstore FILE] [-loglevel LEVEL] [-logformat text|json] [-debugaddr ADDR]")
+		fmt.Fprintln(os.Stderr, "usage: jossd [-listen ADDR] [-socket PATH] [-parallel N] [-planstore FILE] [-retainjobs N] [-maxjobs N] [-maxqueue N] [-jobstore FILE] [-loglevel LEVEL] [-logformat text|json] [-debugaddr ADDR]")
 		os.Exit(2)
 	}
-	if *parallel < 0 || *saveEvery < 1 || *retainJobs < 0 || *maxJobs < 0 || *maxQueue < 0 || *flushEvery < 0 {
-		fmt.Fprintln(os.Stderr, "jossd: -parallel must be >= 0, -saveevery >= 1 and -retainjobs/-maxjobs/-maxqueue/-flushevery >= 0")
+	if *parallel < 0 || *retainJobs < 0 || *maxJobs < 0 || *maxQueue < 0 {
+		fmt.Fprintln(os.Stderr, "jossd: -parallel, -retainjobs, -maxjobs and -maxqueue must be >= 0")
 		os.Exit(2)
 	}
 	log, err := newLogger(*logLevel, *logFormat)
@@ -155,12 +151,10 @@ func main() {
 	cfg.Parallel = workers
 	runtime.GOMAXPROCS(procs)
 	cfg.PlanStorePath = *planStore
-	cfg.SaveEvery = *saveEvery
 	cfg.RetainJobs = *retainJobs
 	cfg.MaxJobs = *maxJobs
 	cfg.MaxQueuedUnits = *maxQueue
 	cfg.JobStorePath = *jobStore
-	cfg.PlanFlushPeriod = *flushEvery
 	sess, err := service.New(cfg)
 	if err != nil {
 		log.Error("startup failed", "err", err)

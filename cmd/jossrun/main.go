@@ -158,21 +158,16 @@ func main() {
 	}
 	e.Seed = *seed
 
-	var s taskrt.Scheduler
-	switch {
-	case strings.EqualFold(*schedName, "JOSS+MAXP"):
-		s = sched.NewJOSSMaxP(e.Set)
-	default:
-		if s, err = e.Session().ParseScheduler(*schedName); err != nil {
-			fmt.Fprintf(os.Stderr, "jossrun: %v; available: %s\n",
-				err, strings.Join(service.SchedulerCatalog, ", "))
-			os.Exit(exitUsage)
-		}
+	s, err := e.Session().ParseScheduler(*schedName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jossrun: %v; available: %s\n",
+			err, strings.Join(service.SchedulerCatalog, ", "))
+		os.Exit(exitUsage)
 	}
 
 	if *planStore != "" {
 		e.SharePlans = true
-		n, err := e.LoadPlanStore(*planStore)
+		n, err := e.Plans.LoadFile(*planStore, e.Oracle.Spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jossrun:", err)
 			os.Exit(1)
@@ -209,7 +204,7 @@ func main() {
 	rep := rt.Run(g)
 
 	if *planStore != "" {
-		if err := e.SavePlanStore(*planStore); err != nil {
+		if err := e.Plans.SaveFileMerged(*planStore, e.Oracle.Spec); err != nil {
 			fmt.Fprintln(os.Stderr, "jossrun:", err)
 			os.Exit(1)
 		}

@@ -67,7 +67,7 @@ type Env struct {
 	// set; NewEnv initialises it to the session's resident cache.
 	// Plans are keyed by ⟨kernel+demand, scheduler, goal, constraint,
 	// scale⟩, so sharing one cache across schedulers and figures is
-	// safe. LoadPlanStore / SavePlanStore persist it across processes.
+	// safe. Its LoadFile / SaveFileMerged persist it across processes.
 	Plans *sched.PlanCache
 	// SensorPeriodSec overrides the simulated INA3221's 5 ms sampling
 	// period for every run the Env executes (0 = paper default), and
@@ -195,25 +195,6 @@ func (e *Env) sweep(jobs []sweepJob) map[string]map[string]taskrt.Report {
 		panic(fmt.Sprintf("exp: session refused sweep: %v", err))
 	}
 	return res.Reports
-}
-
-// LoadPlanStore merges a persisted plan store (written by
-// SavePlanStore, or by another process) into e.Plans, so model-driven
-// runs with SharePlans skip plan search entirely for kernels a
-// previous process already trained. A missing file is not an error —
-// the first process starts cold, trains, and saves. Returns the
-// number of plans loaded.
-func (e *Env) LoadPlanStore(path string) (int, error) {
-	return e.Plans.LoadFile(path, e.Oracle.Spec)
-}
-
-// SavePlanStore writes e.Plans to a versioned plan store with
-// lock-and-merge semantics (load, union, atomic rename under a lock
-// file — see sched.PlanCache.SaveFileMerged), so concurrent processes
-// sharing one store never drop each other's plans and a concurrent
-// LoadPlanStore never observes a torn file.
-func (e *Env) SavePlanStore(path string) error {
-	return e.Plans.SaveFileMerged(path, e.Oracle.Spec)
 }
 
 // EnergyOf returns the report's sensor-sampled energy, falling back to

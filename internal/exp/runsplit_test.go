@@ -74,13 +74,13 @@ func TestPlanStoreSecondProcessZeroSearch(t *testing.T) {
 	if trained == 0 {
 		t.Fatal("sweep trained no plans")
 	}
-	if err := e.SavePlanStore(path); err != nil {
+	if err := e.Plans.SaveFileMerged(path, e.Oracle.Spec); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second process: same trained models, cold plan cache, warm store.
 	e.Plans = sched.NewPlanCache()
-	n, err := e.LoadPlanStore(path)
+	n, err := e.Plans.LoadFile(path, e.Oracle.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPlanStoreSecondProcessZeroSearch(t *testing.T) {
 
 	// A missing store is a cold start, not an error.
 	e.Plans = sched.NewPlanCache()
-	if n, err := e.LoadPlanStore(filepath.Join(t.TempDir(), "absent.json")); err != nil || n != 0 {
+	if n, err := e.Plans.LoadFile(filepath.Join(t.TempDir(), "absent.json"), e.Oracle.Spec); err != nil || n != 0 {
 		t.Fatalf("missing store: n=%d err=%v, want 0, nil", n, err)
 	}
 }

@@ -5,12 +5,11 @@
 // finished results survive a kill -9 and jobs that never produced a
 // result can be reported as interrupted.
 //
-// The file discipline mirrors the plan store's (internal/sched):
-// a sibling .lock file taken with flock(2) where available (the
-// kernel releases a dead holder's lock, so a crashed daemon never
-// orphans the journal) and an O_CREATE|O_EXCL fallback elsewhere,
-// plus rewrite-via-temp-file-and-atomic-rename whenever the journal
-// is compacted. Unlike the plan store's whole-file save, steady-state
+// The file discipline mirrors the plan store's (internal/sched): a
+// sibling .lock file taken through internal/filelock (flock(2) where
+// available, so a crashed daemon never orphans the journal), plus
+// rewrite-via-temp-file-and-atomic-rename whenever the journal is
+// compacted. Unlike the plan store's whole-file save, steady-state
 // writes are single-syscall appends: one JSON record per line, so a
 // crash can only tear the final line, and replay drops exactly that
 // torn tail. Appends reach the page cache without fsync — the store
@@ -30,6 +29,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"joss/internal/filelock"
 )
 
 // Journal record kinds.
@@ -39,12 +40,9 @@ const (
 	kindEvict  = "evict"
 )
 
-var (
-	// storeLockTimeout bounds how long Open waits for the journal
-	// lock; vars so tests can shorten them.
-	storeLockTimeout = 2 * time.Second
-	storeLockRetry   = 2 * time.Millisecond
-)
+// storeLockTimeout bounds how long Open waits for the journal lock; a
+// var so tests can shorten it.
+var storeLockTimeout = 2 * time.Second
 
 // record is one journal line.
 type record struct {
@@ -80,13 +78,15 @@ type Store struct {
 
 // Open locks and replays the journal at path (missing is an empty
 // store), compacts it if the replay dropped anything (a torn final
-// line from a crash mid-append, or evicted jobs), and returns the
-// surviving entries in admission order. The lock is held until Close;
-// a second Open on the same path fails once the lock timeout expires.
+// line from a crash mid-append, or evicted jobs) or the file does not
+// end in a newline (the next append would join the last line), and
+// returns the surviving entries in admission order. The lock is held
+// until Close; a second Open on the same path fails once the lock
+// timeout expires.
 func Open(path string) (*Store, []Entry, error) {
-	unlock, err := acquireStoreLock(path + ".lock")
+	unlock, err := filelock.Acquire(path+".lock", storeLockTimeout)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("jobstore: journal lock: %w", err)
 	}
 	entries, rewrite, err := replay(path)
 	if err != nil {
@@ -108,9 +108,10 @@ func Open(path string) (*Store, []Entry, error) {
 }
 
 // replay parses the journal into live entries. It reports whether the
-// on-disk bytes and the live entries disagree (torn tail or evicts) so
-// Open knows to compact. A malformed line anywhere but the unsynced
-// tail is corruption, not a crash artifact, and fails loudly.
+// on-disk bytes need rewriting (torn tail, evicts, or an unterminated
+// final record, which is kept) so Open knows to compact. A malformed
+// line anywhere but the unsynced tail is corruption, not a crash
+// artifact, and fails loudly.
 func replay(path string) (entries []Entry, rewrite bool, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -172,7 +173,8 @@ func replay(path string) (entries []Entry, rewrite bool, err error) {
 		}
 		entries = live
 	}
-	return entries, torn || evicted > 0, nil
+	unterminated := len(data) > 0 && data[len(data)-1] != '\n'
+	return entries, torn || evicted > 0 || unterminated, nil
 }
 
 // compact rewrites the journal to exactly the live entries, via a

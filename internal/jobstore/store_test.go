@@ -88,6 +88,30 @@ func TestTornTailRecovered(t *testing.T) {
 	}
 }
 
+// TestUnterminatedTailKept: a valid final record without its newline
+// is kept, and Open compacts so the next append starts on a line of
+// its own instead of joining it (which made the following Open fail
+// as corrupt at line 1).
+func TestUnterminatedTailKept(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.ndjson")
+	if err := os.WriteFile(path, []byte(`{"kind":"spec","id":"j1","payload":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, entries := openT(t, path)
+	if len(entries) != 1 || entries[0].ID != "j1" {
+		t.Fatalf("replayed %+v, want j1", entries)
+	}
+	if err := s.AppendSpec("j2", raw(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, entries := openT(t, path)
+	defer s2.Close()
+	if len(entries) != 2 || entries[0].ID != "j1" || entries[1].ID != "j2" {
+		t.Fatalf("reopen replayed %+v, want j1 and j2", entries)
+	}
+}
+
 // TestCompactKeepsPayloadlessJob: a record without a payload still
 // names a job; compaction (here forced by a torn tail) must not drop
 // it, or replay would stop being idempotent.
@@ -156,9 +180,8 @@ func TestEvictCompacts(t *testing.T) {
 // lifetime, so a second daemon pointed at the same journal fails fast
 // instead of interleaving appends.
 func TestLockExcludesSecondOpen(t *testing.T) {
-	oldTimeout, oldRetry := storeLockTimeout, storeLockRetry
-	storeLockTimeout, storeLockRetry = 50*time.Millisecond, time.Millisecond
-	defer func() { storeLockTimeout, storeLockRetry = oldTimeout, oldRetry }()
+	defer func(old time.Duration) { storeLockTimeout = old }(storeLockTimeout)
+	storeLockTimeout = 50 * time.Millisecond
 
 	path := filepath.Join(t.TempDir(), "jobs.ndjson")
 	s, _ := openT(t, path)

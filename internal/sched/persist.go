@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"joss/internal/filelock"
 	"joss/internal/platform"
 )
 
@@ -132,37 +133,25 @@ func (pc *PlanCache) LoadFile(path string, spec platform.Spec) (int, error) {
 	return pc.Load(f, spec)
 }
 
-// Lock-file parameters for SaveFileMerged: how long one writer waits
-// for another before giving up, and how often it retries. The timeout
-// is a var so crash-recovery tests can shorten the contended path.
+// storeLockTimeout bounds how long SaveFileMerged waits for another
+// writer's lock; a var so the lock tests can shorten the contended path.
 var storeLockTimeout = 10 * time.Second
-
-const storeLockRetry = 2 * time.Millisecond
-
-// acquireStoreLock takes the plan store's sibling .lock file and
-// returns a release func. The implementation is platform-gated: on
-// unix-like systems the lock is an exclusive flock(2) on the lock
-// file's open descriptor (lock_flock.go) — a crashed holder's lock is
-// released by the kernel, so an unclean death never orphans the store.
-// Elsewhere it falls back to O_CREATE|O_EXCL existence locking
-// (lock_portable.go), where a crash leaves the lock behind until an
-// operator removes it: breaking it automatically would race a live
-// writer and readmit exactly the lost update this file prevents.
 
 // SaveFileMerged writes the cache to path with lock-and-merge
 // semantics, so concurrent processes (jossbench runs and service
 // daemons) sharing one store never drop each other's plans the way a
-// last-writer-wins rewrite would. Under a sibling .lock file it loads
-// the store currently on disk into the cache (union — disk-only plans
-// are adopted, first-writer-wins keeps the in-memory ones), then
-// writes the merged set to a temp file and atomically renames it over
-// path, so concurrent readers never observe a torn store. The cache
+// last-writer-wins rewrite would. Under a sibling .lock file
+// (internal/filelock) it loads the store currently on disk into the
+// cache (union — disk-only plans are adopted, first-writer-wins keeps
+// the in-memory ones), then writes the merged set to a temp file and
+// atomically renames it over path, so concurrent readers never
+// observe a torn store. The cache
 // itself gains any plans other writers published; the store on disk is
 // validated against spec as by Load.
 func (pc *PlanCache) SaveFileMerged(path string, spec platform.Spec) error {
-	unlock, err := acquireStoreLock(path + ".lock")
+	unlock, err := filelock.Acquire(path+".lock", storeLockTimeout)
 	if err != nil {
-		return err
+		return fmt.Errorf("sched: plan store lock: %w", err)
 	}
 	defer unlock()
 

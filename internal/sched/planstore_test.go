@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"joss/internal/filelock"
 	"joss/internal/platform"
 )
 
@@ -186,7 +187,7 @@ func TestPlanStoreConcurrentMergedWriters(t *testing.T) {
 	}
 	// The flock implementation leaves the (inert) lock file in place;
 	// the portable existence-lock must clean up after itself.
-	if _, err := os.Stat(path + ".lock"); !lockFilePersists && !errors.Is(err, fs.ErrNotExist) {
+	if _, err := os.Stat(path + ".lock"); !filelock.Persists && !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("lock file left behind: %v", err)
 	}
 }

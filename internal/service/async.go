@@ -88,10 +88,9 @@ type JobHandle struct {
 	record
 	s *Session
 
-	req         SweepRequest
-	plans       *sched.PlanCache
-	plansBefore int
-	width       int
+	req   SweepRequest
+	plans *sched.PlanCache
+	width int
 
 	d *dispatch.Job
 
@@ -174,7 +173,6 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 		s:           s,
 		req:         req,
 		plans:       plans,
-		plansBefore: plans.Len(),
 		width:       min(req.Parallel, nUnits),
 		unitReports: make([]taskrt.Report, nUnits),
 		cellMeans:   make([]taskrt.Report, nCells),
@@ -269,7 +267,7 @@ func (h *JobHandle) markDispatched() time.Time {
 }
 
 // finalize waits for the dispatch job to drain, assembles the result,
-// runs the plan-store flush cadence and publishes completion.
+// flushes the plan store if it is stale and publishes completion.
 func (s *Session) finalize(h *JobHandle) {
 	h.d.Wait()
 	close(h.cells)
@@ -301,39 +299,11 @@ func (s *Session) finalize(h *JobHandle) {
 	h.unitReports, h.cellMeans, h.cellReady = nil, nil, nil
 
 	s.requests.Add(1)
-	// Flush when the cache holds plans the store hasn't seen since the
-	// last flush (flushedLen) — regardless of which co-resident job
-	// trained them — and never when nothing changed: a warm steady
-	// state must not rewrite the store per request, serialising every
-	// process sharing it on its lock. Jobs running on a caller-supplied cache fall
-	// back to their own admission-time snapshot. The flush itself
-	// happens on this goroutine, off every dispatch path:
+	// The flush runs on this goroutine, off every dispatch path:
 	// SaveFileMerged may wait up to 10 s on a contended lock, which
 	// must not stall co-resident jobs.
-	flush := false
-	if s.storePath != "" {
-		s.saveMu.Lock()
-		s.sinceSave++
-		stale := h.plans.Len() != h.plansBefore
-		if h.plans == s.plans {
-			stale = s.plans.Len() != s.flushedLen
-		}
-		if s.sinceSave >= s.saveEvery && stale {
-			flush = true
-			s.sinceSave = 0
-		}
-		s.saveMu.Unlock()
-	}
-	if flush {
-		res.PlanStoreErr = h.plans.SaveFileMerged(s.storePath, s.oracle.Spec)
-		if res.PlanStoreErr == nil && h.plans == s.plans {
-			s.saveMu.Lock()
-			// SaveFileMerged may also have adopted disk plans, so the
-			// post-save length, not the pre-save one, is what the store
-			// now holds.
-			s.flushedLen = s.plans.Len()
-			s.saveMu.Unlock()
-		}
+	if h.plans == s.plans {
+		res.PlanStoreErr = s.flushPlans()
 	}
 
 	h.end = time.Now()

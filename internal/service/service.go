@@ -64,19 +64,15 @@ type Config struct {
 	// ERASE is the offline categorised power table the ERASE baseline
 	// needs; sessions built without it cannot construct ERASE by name.
 	ERASE sched.ERASETable
-	// Plans is the session's resident plan cache; nil starts empty.
-	Plans *sched.PlanCache
 	// Parallel is the default worker count for requests that leave
 	// SweepRequest.Parallel at 0 (default GOMAXPROCS).
 	Parallel int
 	// PlanStorePath, when set, makes the plan cache persistent: New
-	// loads the store, completed jobs flush it back (lock-and-merge,
-	// see sched.PlanCache.SaveFileMerged) every SaveEvery requests,
-	// and Close flushes a final time.
+	// loads the store, and after each request run on the resident
+	// cache, and at Close, the session writes it back (lock-and-merge,
+	// see sched.PlanCache.SaveFileMerged) if the cache holds plans the
+	// store has not seen.
 	PlanStorePath string
-	// SaveEvery is the flush period in requests (default 1 — every
-	// request that may have trained something writes the store back).
-	SaveEvery int
 	// RetainJobs bounds the finished jobs kept for lookup by id — live
 	// and journal-replayed alike (default 256; active jobs are never
 	// evicted).
@@ -95,14 +91,6 @@ type Config struct {
 	// job registry, and Close closes the journal.
 	// A session owns its journal exclusively (flock) from New to Close.
 	JobStorePath string
-	// PlanFlushPeriod, when positive (and PlanStorePath is set), adds a
-	// timer to the plan-store publication cadence: a background loop
-	// flushes the resident cache (lock-and-merge) whenever it has
-	// outgrown the store since the last flush, even while no requests
-	// complete — so plans trained by a long-running job reach other
-	// processes sharing the plan store without waiting for the next
-	// per-request flush. Stopped by Close.
-	PlanFlushPeriod time.Duration
 	// DisableMetrics builds the session without its obs.Registry: no
 	// metric families are registered, every instrumentation hook is
 	// skipped, and Metrics() returns nil. Metrics are on by default —
@@ -137,7 +125,6 @@ type Session struct {
 	plans     *sched.PlanCache
 	parallel  int
 	storePath string
-	saveEvery int
 	retain    int
 
 	pool *dispatch.Pool
@@ -169,19 +156,10 @@ type Session struct {
 	epoch    time.Time
 	draining atomic.Bool
 
-	// saveMu guards the plan-store flush cadence: sinceSave counts
-	// requests since the last flush, flushedLen is the resident
-	// cache's length when the store last matched it (so only sessions
-	// whose cache outgrew the store pay a flush).
-	saveMu     sync.Mutex
-	sinceSave  int
-	flushedLen int
-
-	// flushStop ends the Config.PlanFlushPeriod timer loop (nil when no
-	// timer runs); flushWG waits it out in Close.
-	flushStop chan struct{}
-	flushOnce sync.Once
-	flushWG   sync.WaitGroup
+	// flushedLen is the resident cache's length when the plan store
+	// last held all of it, so only a cache that outgrew the store pays
+	// a flush.
+	flushedLen atomic.Int64
 
 	requests atomic.Int64
 
@@ -203,10 +181,9 @@ func New(cfg Config) (*Session, error) {
 		oracle:    cfg.Oracle,
 		set:       cfg.Set,
 		erase:     cfg.ERASE,
-		plans:     cfg.Plans,
+		plans:     sched.NewPlanCache(),
 		parallel:  cfg.Parallel,
 		storePath: cfg.PlanStorePath,
-		saveEvery: cfg.SaveEvery,
 		retain:    cfg.RetainJobs,
 		pool:      dispatch.NewPool(0),
 		costs:     make(map[costKey]int),
@@ -217,14 +194,8 @@ func New(cfg Config) (*Session, error) {
 		MaxJobs:        cfg.MaxJobs,
 		MaxQueuedUnits: cfg.MaxQueuedUnits,
 	})
-	if s.plans == nil {
-		s.plans = sched.NewPlanCache()
-	}
 	if s.parallel < 1 {
 		s.parallel = runtime.GOMAXPROCS(0)
-	}
-	if s.saveEvery < 1 {
-		s.saveEvery = 1
 	}
 	if s.retain < 1 {
 		s.retain = 256
@@ -240,7 +211,7 @@ func New(cfg Config) (*Session, error) {
 		}
 		// Everything loaded from the store is, by definition, already
 		// persisted.
-		s.flushedLen = s.plans.Len()
+		s.flushedLen.Store(int64(s.plans.Len()))
 	}
 	if cfg.JobStorePath != "" {
 		if err := s.openJobStore(cfg.JobStorePath); err != nil {
@@ -250,56 +221,29 @@ func New(cfg Config) (*Session, error) {
 			s.store.SetMetrics(jobstore.NewMetrics(s.registry))
 		}
 	}
-	if cfg.PlanFlushPeriod > 0 && s.storePath != "" {
-		s.flushStop = make(chan struct{})
-		s.flushWG.Add(1)
-		go s.flushLoop(cfg.PlanFlushPeriod)
-	}
 	return s, nil
 }
 
-// flushLoop is the timer half of the plan-store publication cadence:
-// every period it flushes the resident cache if it has outgrown the
-// store since the last flush (from any source — running or completed
-// jobs, or merges by sibling processes, are all visible as cache
-// growth). Errors are ignored here; the per-request flush path
-// reports them on its next attempt.
-func (s *Session) flushLoop(period time.Duration) {
-	defer s.flushWG.Done()
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = s.flushIfStale()
-		case <-s.flushStop:
-			return
-		}
-	}
-}
-
-// flushIfStale flushes the resident plan cache to the store when (and
-// only when) the cache has grown past what the store last saw,
-// updating the cadence bookkeeping. No-op without a store path.
-func (s *Session) flushIfStale() error {
+// flushPlans writes the resident plan cache to the plan store
+// (lock-and-merge) when it holds more plans than the store last saw.
+// It is a no-op without a store path, and a warm steady state never
+// rewrites the store, so processes sharing it do not serialise on its
+// lock once per request.
+func (s *Session) flushPlans() error {
 	if s.storePath == "" {
 		return nil
 	}
-	s.saveMu.Lock()
-	stale := s.plans.Len() != s.flushedLen
-	s.saveMu.Unlock()
-	if !stale {
+	n := s.plans.Len()
+	if int64(n) == s.flushedLen.Load() {
 		return nil
 	}
-	// The flush itself runs outside saveMu (SaveFileMerged may wait up
-	// to 10 s on a contended flock); the post-save length update mirrors
-	// finalize's.
 	if err := s.plans.SaveFileMerged(s.storePath, s.oracle.Spec); err != nil {
 		return err
 	}
-	s.saveMu.Lock()
-	s.flushedLen = s.plans.Len()
-	s.saveMu.Unlock()
+	// n, not the post-save length: a plan a concurrent run stored
+	// during the save may have missed the file. Plans the merge
+	// adopted from disk cost one redundant flush later.
+	s.flushedLen.Store(int64(n))
 	return nil
 }
 
@@ -336,30 +280,16 @@ func (s *Session) Workers() int { return s.pool.Workers() }
 // Uptime reports the time since the session was built (New).
 func (s *Session) Uptime() time.Duration { return time.Since(s.epoch) }
 
-// SavePlanStore flushes the resident plan cache to the configured
-// store with lock-and-merge semantics; a session without a store path
-// is a no-op.
-func (s *Session) SavePlanStore() error {
-	if s.storePath == "" {
-		return nil
-	}
-	return s.plans.SaveFileMerged(s.storePath, s.oracle.Spec)
-}
-
 // Close waits for the admitted units to run and retires the pool's
 // workers, whose OS threads exit with them, then flushes the plan
-// store a final time and closes the job journal (releasing its
-// exclusive lock). A session without a job store stays usable after
+// store if the cache outgrew it and closes the job journal (releasing
+// its exclusive lock). A session without a job store stays usable after
 // Close (a flush point, not a teardown: the next request starts fresh
 // workers); one with a job store must not admit further work
 // afterwards.
 func (s *Session) Close() error {
 	s.pool.Close()
-	if s.flushStop != nil {
-		s.flushOnce.Do(func() { close(s.flushStop) })
-		s.flushWG.Wait()
-	}
-	err := s.SavePlanStore()
+	err := s.flushPlans()
 	if s.store != nil {
 		if cerr := s.store.Close(); err == nil {
 			err = cerr
@@ -425,7 +355,9 @@ type SweepRequest struct {
 	SensorOff       bool
 	// Plans overrides the session's resident plan cache for this
 	// request (nil = the resident cache). The exp.Env thin client uses
-	// this so its exported Plans field keeps working.
+	// this so its exported Plans field keeps working. A caller-supplied
+	// cache is never flushed to the session's plan store; its owner
+	// saves it (sched.PlanCache.SaveFileMerged).
 	Plans *sched.PlanCache
 	// Weight scales the request's fair share on the dispatcher: a
 	// Weight-2 request receives twice the unit throughput of a

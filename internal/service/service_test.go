@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -244,12 +245,23 @@ func BenchmarkCellCostsWarm(b *testing.B) {
 
 // TestSessionPlanStoreLifecycle exercises the persistence ownership
 // that moved into the service: a session configured with a store path
-// loads it at New, flushes after requests, and a second session over
-// the same store performs zero plan searches for the first session's
-// kernels.
+// loads it at New, flushes after a request that trained plans and
+// leaves the store untouched after a warm repeat and at Close, and a
+// second session over the same store performs zero plan searches for
+// the first session's kernels.
 func TestSessionPlanStoreLifecycle(t *testing.T) {
 	cfg := testConfig(t)
 	path := filepath.Join(t.TempDir(), "plans.json")
+	// Every flush renames a fresh temp file over the store, so a flush
+	// shows as a change of file identity.
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
 
 	cfg.PlanStorePath = path
 	first, err := New(cfg)
@@ -271,6 +283,19 @@ func TestSessionPlanStoreLifecycle(t *testing.T) {
 	trained := first.Plans().Len()
 	if trained == 0 {
 		t.Fatal("no plans flushed")
+	}
+	flushed := stat()
+	if res := mustSubmit(t, first, req); res.PlanEvals != 0 || res.PlanStoreErr != nil {
+		t.Fatalf("warm repeat: %d plan evals, store err %v", res.PlanEvals, res.PlanStoreErr)
+	}
+	if !os.SameFile(flushed, stat()) {
+		t.Error("a warm repeat rewrote the plan store")
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(flushed, stat()) {
+		t.Error("Close over an unchanged cache rewrote the plan store")
 	}
 
 	// A separate "process": fresh session, same store.
