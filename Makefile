@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: tier1 fmt vet build test chaos bench perfgate profile-fig8 clean
+.PHONY: tier1 fmt vet build test chaos bench perfgate profile-fig8 profile-heap clean
 
 # tier1 is the repo's merge gate: formatting, vet, build, full test
 # suite and the short benchmark smoke (one iteration per benchmark
@@ -71,5 +71,15 @@ profile-fig8:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$' -benchtime 5s -cpuprofile fig8.cpu.prof -o fig8.test .
 	$(GO) tool pprof -top -nodecount=25 fig8.test fig8.cpu.prof
 
+# profile-heap writes an exact heap profile of BenchmarkFig8 (every
+# allocation sampled) to fig8.heap.prof, keeps the test binary beside
+# it as fig8.test, and prints the 15 functions whose allocations hold
+# the most live heap when the benchmark ends. The iteration count is
+# fixed because the bench session retains its finished jobs: the same
+# count on two trees keeps their totals comparable.
+profile-heap:
+	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$' -benchtime 20x -memprofile fig8.heap.prof -memprofilerate 1 -o fig8.test .
+	$(GO) tool pprof -top -nodecount=15 -sample_index=inuse_space fig8.test fig8.heap.prof
+
 clean:
-	rm -f fig8.cpu.prof fig8.test
+	rm -f fig8.cpu.prof fig8.heap.prof fig8.test

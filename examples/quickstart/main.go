@@ -57,10 +57,10 @@ func main() {
 		}
 	}
 
-	// 4. Run under JOSS and under the GRWS baseline. A runtime is
-	//    single-use; build one per run.
+	// 4. Run under JOSS and under the GRWS baseline. Execution never
+	//    mutates the graph, so both runs share it. Each run gets a new
+	//    runtime here; Runtime.Reset would rewind one for the next run.
 	run := func(s taskrt.Scheduler) taskrt.Report {
-		g.ResetRuntimeState()
 		return taskrt.New(oracle, s, taskrt.DefaultOptions()).Run(g)
 	}
 	joss := sched.NewJOSS(set)

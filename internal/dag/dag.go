@@ -32,10 +32,9 @@ type Task struct {
 	// Succs are the tasks that depend on this task.
 	Succs []*Task
 	// Preds are the tasks this task depends on (the reverse edges,
-	// kept for criticality analyses).
+	// kept for criticality analyses; their count is the task's initial
+	// unfinished-predecessor count).
 	Preds []*Task
-	// npred is the number of uncompleted predecessors.
-	npred int
 	// Seq is the kernel-local invocation number (0-based), used by
 	// schedulers for online sampling.
 	Seq int
@@ -56,9 +55,6 @@ func (t *Task) EffectiveDemand() platform.TaskDemand {
 	}
 	return d
 }
-
-// NumPred returns the task's current unfinished-predecessor count.
-func (t *Task) NumPred() int { return t.npred }
 
 // Graph is a task DAG under construction or execution.
 type Graph struct {
@@ -83,9 +79,8 @@ type Graph struct {
 	// baseNpred/baseRoots cache the graph's initial ready-state — the
 	// per-task predecessor counts and the root set — so every run
 	// starts from an O(tasks) array copy instead of re-walking the
-	// edge lists. Derived from the immutable Preds structure (never from
-	// the mutable npred counters), recomputed lazily after any
-	// structural change.
+	// edge lists. Derived from the Preds structure, recomputed lazily
+	// after any structural change.
 	baseNpred []int32
 	baseRoots []*Task
 	baseValid bool
@@ -225,14 +220,13 @@ func (g *Graph) AddDep(pred, succ *Task) {
 		succ.Preds = g.newEdgeSlice()
 	}
 	succ.Preds = g.appendEdge(succ.Preds, pred)
-	succ.npred++
 }
 
 // Roots returns tasks with no predecessors (the initially ready set).
 func (g *Graph) Roots() []*Task {
 	var out []*Task
 	for _, t := range g.Tasks {
-		if t.npred == 0 {
+		if len(t.Preds) == 0 {
 			out = append(out, t)
 		}
 	}
@@ -241,11 +235,11 @@ func (g *Graph) Roots() []*Task {
 
 // BaseState returns the graph's initial per-task predecessor counts
 // (indexed by Task.ID) and its root set. Both are cached on the graph
-// and derived from the immutable edge structure — not from the mutable
-// npred counters — so the result is valid no matter how many executions
-// have consumed the graph since it was built. Callers must treat both
-// slices as read-only; they are invalidated by the next structural
-// change (AddTask/AddDep/Reuse).
+// and derived from the edge structure, which execution never mutates,
+// so the result is valid no matter how many executions have run the
+// graph since it was built. Callers must treat both slices as
+// read-only; they are invalidated by the next structural change
+// (AddTask/AddDep/Reuse).
 func (g *Graph) BaseState() ([]int32, []*Task) {
 	if !g.baseValid {
 		if cap(g.baseNpred) < len(g.Tasks) {
@@ -303,7 +297,7 @@ func (g *Graph) DOP() float64 {
 }
 
 // Validate checks structural invariants: edges only go forward,
-// predecessor counts match incoming edges, and kernels belong to the
+// predecessor lists match incoming edges, and kernels belong to the
 // graph. It returns the first violation found.
 func (g *Graph) Validate() error {
 	inDeg := make([]int, len(g.Tasks))
@@ -322,37 +316,14 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, t := range g.Tasks {
-		if t.npred != inDeg[t.ID] {
-			return fmt.Errorf("task %d npred=%d but in-degree=%d", t.ID, t.npred, inDeg[t.ID])
+		if len(t.Preds) != inDeg[t.ID] {
+			return fmt.Errorf("task %d has %d preds but in-degree=%d", t.ID, len(t.Preds), inDeg[t.ID])
 		}
 	}
 	if len(g.Roots()) == 0 && len(g.Tasks) > 0 {
 		return fmt.Errorf("graph has tasks but no roots")
 	}
 	return nil
-}
-
-// ResetRuntimeState restores predecessor counters after an execution
-// consumed them, so the same graph can be run again.
-func (g *Graph) ResetRuntimeState() {
-	for _, t := range g.Tasks {
-		t.npred = 0
-	}
-	for _, t := range g.Tasks {
-		for _, s := range t.Succs {
-			s.npred++
-		}
-	}
-}
-
-// DecrementPred atomically (single-threaded sim) consumes one
-// completed predecessor and reports whether the task became ready.
-func (t *Task) DecrementPred() bool {
-	if t.npred <= 0 {
-		panic(fmt.Sprintf("dag: task %d pred underflow", t.ID))
-	}
-	t.npred--
-	return t.npred == 0
 }
 
 // TotalWork sums ops and bytes over all tasks.

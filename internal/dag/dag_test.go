@@ -22,8 +22,8 @@ func TestBasicConstruction(t *testing.T) {
 	if g.NumTasks() != 3 {
 		t.Fatalf("NumTasks = %d, want 3", g.NumTasks())
 	}
-	if a.NumPred() != 0 || b.NumPred() != 1 || c.NumPred() != 2 {
-		t.Fatalf("pred counts %d,%d,%d want 0,1,2", a.NumPred(), b.NumPred(), c.NumPred())
+	if len(a.Preds) != 0 || len(b.Preds) != 1 || len(c.Preds) != 2 {
+		t.Fatalf("pred counts %d,%d,%d want 0,1,2", len(a.Preds), len(b.Preds), len(c.Preds))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -107,42 +107,6 @@ func TestForkJoinShape(t *testing.T) {
 	}
 }
 
-func TestDecrementPredAndReset(t *testing.T) {
-	g := New("g")
-	k := g.AddKernel("k", demand())
-	a := g.AddTask(k)
-	b := g.AddTask(k, a)
-	c := g.AddTask(k, a, b)
-	if b.DecrementPred() != true {
-		t.Fatal("b should become ready after its single pred completes")
-	}
-	if c.DecrementPred() != false {
-		t.Fatal("c should not be ready after one of two preds")
-	}
-	if c.DecrementPred() != true {
-		t.Fatal("c should be ready after both preds")
-	}
-	g.ResetRuntimeState()
-	if b.NumPred() != 1 || c.NumPred() != 2 {
-		t.Fatal("ResetRuntimeState did not restore predecessor counts")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecrementUnderflowPanics(t *testing.T) {
-	g := New("g")
-	k := g.AddKernel("k", demand())
-	a := g.AddTask(k)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("underflow did not panic")
-		}
-	}()
-	a.DecrementPred()
-}
-
 func TestTotalWork(t *testing.T) {
 	g := Chains("c", demand(), 2, 3)
 	ops, bytes := g.TotalWork()
@@ -179,36 +143,6 @@ func TestPropertyRandomLayeredDAGValid(t *testing.T) {
 		}
 		d := g.DOP()
 		return d >= 1 && d <= float64(g.NumTasks())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ResetRuntimeState is an involution with respect to a full
-// consume cycle — after consuming every edge and resetting, the
-// predecessor counts match a freshly validated graph.
-func TestPropertyResetRestores(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := Chains("c", demand(), 1+rng.Intn(4), 1+rng.Intn(10))
-		want := make([]int, g.NumTasks())
-		for i, task := range g.Tasks {
-			want[i] = task.NumPred()
-		}
-		// Consume in topological (ID) order.
-		for _, task := range g.Tasks {
-			for _, s := range task.Succs {
-				s.DecrementPred()
-			}
-		}
-		g.ResetRuntimeState()
-		for i, task := range g.Tasks {
-			if task.NumPred() != want[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -289,8 +223,7 @@ func TestReuseRebuildEquivalence(t *testing.T) {
 	for i, ft := range fresh.Tasks {
 		rt := reused.Tasks[i]
 		if ft.ID != rt.ID || ft.Kernel.Name != rt.Kernel.Name || ft.Seq != rt.Seq ||
-			len(ft.Succs) != len(rt.Succs) || len(ft.Preds) != len(rt.Preds) ||
-			ft.NumPred() != rt.NumPred() {
+			len(ft.Succs) != len(rt.Succs) || len(ft.Preds) != len(rt.Preds) {
 			t.Fatalf("task %d differs after arena reuse", i)
 		}
 		for j := range ft.Succs {

@@ -135,12 +135,11 @@ type Session struct {
 	workers  []*worker
 
 	// costMu guards the ⟨workload name, scale⟩ → task-count memo
-	// (dispatch costing) and its scratch graph; a distinct workload
-	// pays one scratch DAG build per session, after which dispatch
-	// planning is allocation-free.
+	// (dispatch costing); a distinct workload pays one throwaway DAG
+	// build per session, after which dispatch planning is
+	// allocation-free.
 	costMu sync.Mutex
 	costs  map[costKey]int
-	costG  *dag.Graph
 
 	// jobMu guards the job registry (registry.go): every record by id
 	// and in admission order, and the id sequence.
@@ -484,9 +483,10 @@ type costKey struct {
 
 // taskCount returns the workload's DAG task count at the given scale —
 // the dispatch cost of one of its run units. The first lookup per
-// ⟨name, scale⟩ pays one scratch build into a session-resident recycled
-// arena; every later one is a map hit, so admission-time planning
-// allocates nothing once the session has seen its workloads.
+// ⟨name, scale⟩ builds the workload into a throwaway graph, so the
+// session keeps no arena just for counting; every later one is a map
+// hit, so admission-time planning allocates nothing once the session
+// has seen its workloads.
 func (s *Session) taskCount(wl workloads.Config, scale float64) int {
 	k := costKey{wl.Name, scale}
 	s.costMu.Lock()
@@ -494,8 +494,7 @@ func (s *Session) taskCount(wl workloads.Config, scale float64) int {
 	if n, ok := s.costs[k]; ok {
 		return n
 	}
-	s.costG = wl.BuildReuse(s.costG, scale)
-	n := s.costG.NumTasks()
+	n := wl.Build(scale).NumTasks()
 	s.costs[k] = n
 	return n
 }

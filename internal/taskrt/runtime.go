@@ -23,17 +23,19 @@
 // queues are growable ring deques, dispatch/wake/completion callbacks
 // are closure-free bound events, execution states and decision boxes
 // are pooled, and the oracle's per-⟨demand, config⟩ timing/occupancy
-// answers are memoized in dense config-indexed slabs reached through
-// each kernel's dense index. A Runtime is reusable: Reset rewinds the
-// engine, machine, deques, pools and stats — retaining the warmed
-// pools and any oracle memo whose kernels are unchanged — so a sweep
-// worker executes an unbounded stream of runs while paying environment
-// construction once.
+// answers are memoized per kernel, reached through its dense index: a
+// dense config-indexed slab for the kernel's base demand and a sparse
+// map for tasks whose DemandScale sizes them apart from it. A Runtime
+// is reusable: Reset rewinds the engine, machine, deques, pools and
+// stats — retaining the warmed pools and any oracle memo whose kernels
+// are unchanged — so a sweep worker executes an unbounded stream of
+// runs while paying environment construction once.
 package taskrt
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"joss/internal/dag"
@@ -317,33 +319,47 @@ func DefaultOptions() Options {
 	return Options{Seed: 1, Coord: CoordMean, DispatchOverheadSec: 1e-6}
 }
 
+// oracleAnswer is one memoized oracle answer: a demand's time
+// breakdown and per-core occupancy at one configuration.
+type oracleAnswer struct {
+	tb    platform.TimeBreakdown
+	occ   platform.CoreOccupancy
+	valid bool
+}
+
 // demandCache holds the oracle's deterministic answers for one demand
 // across a dense config grid, so retiming a task under frequencies it
-// has already seen costs two array loads instead of the oracle's
+// has already seen costs one array load instead of the oracle's
 // transcendental math. Unlike platform.Config.Index, the runtime's
 // grid indexes NC exactly (recruitment can yield any core count up to
 // the cluster size, not just powers of two), so slabs are sized per
 // machine in New.
-type demandCache struct {
-	valid []bool
-	tb    []platform.TimeBreakdown
-	occ   []platform.CoreOccupancy
+type demandCache []oracleAnswer
+
+// scaledKey identifies a memoized answer for a task whose DemandScale
+// differs from its kernel's base demand: the scale and the index of
+// the config on the runtime's exact-NC grid.
+type scaledKey struct {
+	scale float64
+	cfg   int
 }
 
 // kernelCache is the per-kernel slot of the runtime's oracle memo,
-// indexed by dag.Kernel.Index (dense — no map on the hot path). The
-// oracle is a pure function of ⟨demand, config⟩, so entries survive
-// Runtime.Reset as long as the kernel at that index keeps the same
-// name and demand: the repeat loop of a sweep cell rebuilds the same
-// workload and pays the oracle's transcendental math only once per
-// worker, not once per run. Tasks whose DemandScale is neither unset
-// nor 1 get their own slab per distinct scale (the Biomarker
-// heterogeneity), keyed off the dense path.
+// indexed by dag.Kernel.Index (dense — no map on the base-demand hot
+// path). The oracle is a pure function of ⟨demand, config⟩, so entries
+// survive Runtime.Reset as long as the kernel at that index keeps the
+// same name and demand: the repeat loop of a sweep cell rebuilds the
+// same workload and pays the oracle's transcendental math only once per
+// worker, not once per run. Tasks at their kernel's base demand share
+// one dense slab; tasks scaled apart from it (the Biomarker
+// heterogeneity, where a kernel has hundreds of distinct scales and
+// each runs at a few configs) keep only the answers they computed, in
+// a map keyed on ⟨scale, config⟩.
 type kernelCache struct {
 	name   string
 	demand platform.TaskDemand
-	base   *demandCache             // unscaled demand (DemandScale 0 or 1)
-	scaled map[float64]*demandCache // by DemandScale, lazily built
+	base   demandCache // base demand (DemandScale 0 or 1), lazily built
+	scaled map[scaledKey]oracleAnswer
 }
 
 // Bound-event handlers: long-lived adapters that let the runtime
@@ -391,9 +407,9 @@ type Runtime struct {
 	// Task.ID): the unfinished-predecessor counters and pending
 	// scheduler decisions of the current execution. Keeping them here —
 	// not on dag.Task — leaves the graph immutable during execution, so
-	// one built DAG serves any number of repeated runs without per-run
-	// Graph.ResetRuntimeState walks: starting a run is one memcpy of the
-	// graph's cached base counters.
+	// one built DAG serves any number of repeated runs without a per-run
+	// rewind walk: starting a run is one memcpy of the graph's cached
+	// base counters.
 	npred []int32
 	decs  []*Decision
 
@@ -401,9 +417,9 @@ type Runtime struct {
 	// allocation-free.
 	esPool      []*execState
 	decPool     []*Decision
-	kcache      []kernelCache  // oracle memo, indexed by Kernel.Index
-	slabPool    []*demandCache // recycled slabs for kcache entries
-	cfgSlots    int            // size of the exact-NC config grid
+	kcache      []kernelCache // oracle memo, indexed by Kernel.Index
+	slabPool    []demandCache // recycled slabs for kcache base entries
+	cfgSlots    int           // size of the exact-NC config grid
 	maxNC       int
 	kernelStats [][platform.NumCoreTypes]int
 
@@ -547,23 +563,23 @@ func (rt *Runtime) Reset(g *dag.Graph) {
 // sweep repeat loop).
 func (rt *Runtime) prepareCaches(g *dag.Graph) {
 	nk := len(g.Kernels)
-	for i, k := range g.Kernels {
-		if i < len(rt.kcache) {
-			kc := &rt.kcache[i]
-			if kc.name == k.Name && kc.demand == k.Demand {
-				continue // identical kernel: memoized answers stay valid
-			}
-			rt.recycleKernelCache(kc)
-			*kc = kernelCache{name: k.Name, demand: k.Demand}
-			continue
-		}
-		rt.kcache = append(rt.kcache, kernelCache{name: k.Name, demand: k.Demand})
-	}
 	for i := nk; i < len(rt.kcache); i++ {
 		rt.recycleKernelCache(&rt.kcache[i])
-		rt.kcache[i] = kernelCache{}
+	}
+	// Slots past the current length keep their (cleared) maps, so a
+	// worker that comes back to a wider graph reuses their storage.
+	if nk > cap(rt.kcache) {
+		rt.kcache = slices.Grow(rt.kcache[:cap(rt.kcache)], nk-cap(rt.kcache))
 	}
 	rt.kcache = rt.kcache[:nk]
+	for i, k := range g.Kernels {
+		kc := &rt.kcache[i]
+		if kc.name == k.Name && kc.demand == k.Demand {
+			continue // identical kernel: memoized answers stay valid
+		}
+		rt.recycleKernelCache(kc)
+		kc.name, kc.demand = k.Name, k.Demand
+	}
 
 	if cap(rt.kernelStats) < nk {
 		rt.kernelStats = make([][platform.NumCoreTypes]int, nk)
@@ -574,36 +590,25 @@ func (rt *Runtime) prepareCaches(g *dag.Graph) {
 	}
 }
 
-// recycleKernelCache returns a stale entry's slabs to the pool.
+// recycleKernelCache empties a stale entry: its base slab returns to
+// the pool and its scaled-answer map is cleared, not dropped, so the
+// map's storage serves the slot's next kernel.
 func (rt *Runtime) recycleKernelCache(kc *kernelCache) {
 	if kc.base != nil {
-		rt.freeSlab(kc.base)
+		clear(kc.base)
+		rt.slabPool = append(rt.slabPool, kc.base)
 		kc.base = nil
 	}
-	for s, dc := range kc.scaled {
-		rt.freeSlab(dc)
-		delete(kc.scaled, s)
-	}
+	clear(kc.scaled)
 }
 
-func (rt *Runtime) freeSlab(dc *demandCache) {
-	for i := range dc.valid {
-		dc.valid[i] = false
-	}
-	rt.slabPool = append(rt.slabPool, dc)
-}
-
-func (rt *Runtime) newSlab() *demandCache {
+func (rt *Runtime) newSlab() demandCache {
 	if n := len(rt.slabPool); n > 0 {
 		dc := rt.slabPool[n-1]
 		rt.slabPool = rt.slabPool[:n-1]
 		return dc
 	}
-	return &demandCache{
-		valid: make([]bool, rt.cfgSlots),
-		tb:    make([]platform.TimeBreakdown, rt.cfgSlots),
-		occ:   make([]platform.CoreOccupancy, rt.cfgSlots),
-	}
+	return make(demandCache, rt.cfgSlots)
 }
 
 // Run executes the graph to completion and returns the report. A
@@ -988,36 +993,40 @@ func (rt *Runtime) effConfig(es *execState) platform.Config {
 // oracleAt returns the memoized time breakdown and per-core occupancy
 // for a task's effective demand at cfg. The oracle is deterministic,
 // so each ⟨demand, config⟩ cell is computed once per Runtime lifetime
-// — not per run — and then served from a dense config-indexed slab
-// reached through the kernel's dense index.
+// — not per run — and then served from the kernel's memo: its dense
+// slab for the base demand, its sparse map for a scaled one.
 func (rt *Runtime) oracleAt(t *dag.Task, cfg platform.Config) (platform.TimeBreakdown, platform.CoreOccupancy) {
 	kc := &rt.kcache[t.Kernel.Index]
-	var dc *demandCache
-	if s := t.DemandScale; s == 0 || s == 1 {
-		if kc.base == nil {
-			kc.base = rt.newSlab()
-		}
-		dc = kc.base
-	} else {
-		dc = kc.scaled[s]
-		if dc == nil {
-			if kc.scaled == nil {
-				kc.scaled = make(map[float64]*demandCache)
-			}
-			dc = rt.newSlab()
-			kc.scaled[s] = dc
-		}
-	}
 	idx := ((int(cfg.TC)*(rt.maxNC+1)+cfg.NC)*platform.NumCPUFreqs+cfg.FC)*
 		platform.NumMemFreqs + cfg.FM
-	if !dc.valid[idx] {
-		d := t.EffectiveDemand()
-		tb := rt.O.TaskTime(d, cfg)
-		dc.tb[idx] = tb
-		dc.occ[idx] = rt.occupancyFor(d, cfg, tb)
-		dc.valid[idx] = true
+	// The base/scaled split is dag.Task.EffectiveDemand's predicate.
+	if s := t.DemandScale; s > 0 && s != 1 {
+		key := scaledKey{s, idx}
+		a, ok := kc.scaled[key]
+		if !ok {
+			if kc.scaled == nil {
+				kc.scaled = make(map[scaledKey]oracleAnswer)
+			}
+			a = rt.answer(t, cfg)
+			kc.scaled[key] = a
+		}
+		return a.tb, a.occ
 	}
-	return dc.tb[idx], dc.occ[idx]
+	if kc.base == nil {
+		kc.base = rt.newSlab()
+	}
+	a := &kc.base[idx]
+	if !a.valid {
+		*a = rt.answer(t, cfg)
+	}
+	return a.tb, a.occ
+}
+
+// answer asks the oracle for a task's effective demand at cfg.
+func (rt *Runtime) answer(t *dag.Task, cfg platform.Config) oracleAnswer {
+	d := t.EffectiveDemand()
+	tb := rt.O.TaskTime(d, cfg)
+	return oracleAnswer{tb: tb, occ: rt.occupancyFor(d, cfg, tb), valid: true}
 }
 
 // retime recomputes a running task's completion under the current
