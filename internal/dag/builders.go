@@ -5,7 +5,7 @@ import "joss/internal/platform"
 // Chains builds a graph of `width` independent chains of `depth` tasks
 // of one kernel. The resulting DAG parallelism (dop) equals width,
 // which is how the paper's synthetic MM/MC/ST benchmarks configure
-// their task concurrency.
+// their task concurrency. The graph is returned sealed.
 func Chains(name string, d platform.TaskDemand, width, depth int) *Graph {
 	g := New(name)
 	k := g.AddKernel(name+".kernel", d)
@@ -19,26 +19,5 @@ func Chains(name string, d platform.TaskDemand, width, depth int) *Graph {
 			}
 		}
 	}
-	return g
-}
-
-// ForkJoin builds `iters` sequential phases, each forking `width`
-// tasks of kernel k that join into a barrier task of kernel join.
-func ForkJoin(name string, work, join platform.TaskDemand, width, iters int) *Graph {
-	g := New(name)
-	kw := g.AddKernel(name+".work", work)
-	kj := g.AddKernel(name+".join", join)
-	var barrier *Task
-	for it := 0; it < iters; it++ {
-		phase := make([]*Task, width)
-		for i := range phase {
-			if barrier == nil {
-				phase[i] = g.AddTask(kw)
-			} else {
-				phase[i] = g.AddTask(kw, barrier)
-			}
-		}
-		barrier = g.AddTask(kj, phase...)
-	}
-	return g
+	return g.Seal()
 }

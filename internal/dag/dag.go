@@ -4,6 +4,19 @@
 // dependencies; tasks belong to kernels (task types) that are invoked
 // many times with identical routines, and tasks may be moldable
 // (executed by several cores of one cluster).
+//
+// Tasks are created in a topological order (a task's predecessors must
+// already exist) and hold no edges. A graph stores its edges in flat
+// int32 arrays of task IDs: AddTask appends a task's predecessor IDs
+// to one array and their count to another, and Seal derives the
+// successor lists from them in one counting-sort pass, as CSR
+// (compressed sparse row: every list back to back in one array, with
+// an offset per task). Seal walks the tasks in ID order, so each
+// successor list is in ascending task ID, with a predecessor listed
+// twice in one AddTask appearing twice — exactly the order in which
+// appending each edge to its predecessor's list at AddTask time would
+// leave it. Runtimes wake successors in this order, so it is part of
+// every simulated result.
 package dag
 
 import (
@@ -25,16 +38,11 @@ type Kernel struct {
 	tasks int
 }
 
-// Task is one vertex of the application DAG.
+// Task is one vertex of the application DAG. Its edges live in the
+// graph's flat arrays (see Graph.Succs), so a task is four words.
 type Task struct {
 	ID     int
 	Kernel *Kernel
-	// Succs are the tasks that depend on this task.
-	Succs []*Task
-	// Preds are the tasks this task depends on (the reverse edges,
-	// kept for criticality analyses; their count is the task's initial
-	// unfinished-predecessor count).
-	Preds []*Task
 	// Seq is the kernel-local invocation number (0-based), used by
 	// schedulers for online sampling.
 	Seq int
@@ -64,37 +72,31 @@ type Graph struct {
 
 	kernelByName map[string]*Kernel
 
-	// taskChunks and edgeChunks are chunked backing stores for tasks
-	// and initial Succs/Preds slices: large graphs (SLU at paper scale
-	// has 11440 tasks and ~3 edges each) are built with a handful of
-	// allocations instead of one per task and per edge-append. Chunks
-	// are never moved, so task pointers stay valid — and they are
-	// retained by Reuse, so rebuilding a workload into a recycled graph
-	// allocates nothing once the arenas have grown to size.
+	// taskChunks is the chunked backing store for tasks: chunks are
+	// never moved, so task pointers stay valid, and Reuse retains them
+	// so a rebuild into a recycled graph allocates no tasks.
 	taskChunks [][]Task
 	taskUsed   int // tasks handed out across all chunks
-	edgeChunks [][]*Task
-	edgeUsed   int // edge-arena slots handed out across all chunks
 
-	// baseNpred/baseRoots cache the graph's initial ready-state — the
-	// per-task predecessor counts and the root set — so every run
-	// starts from an O(tasks) array copy instead of re-walking the
-	// edge lists. Derived from the Preds structure, recomputed lazily
-	// after any structural change.
+	// preds holds every task's predecessor IDs back to back in task-ID
+	// order, each task's in its AddTask order; baseNpred[id] is their
+	// count and baseRoots the tasks with none. Together with the CSR
+	// successor lists (succOff, succs) that Seal derives from preds,
+	// they are the graph's whole edge structure. Every flat array keeps
+	// its capacity across Reuse.
+	preds     []int32
 	baseNpred []int32
 	baseRoots []*Task
-	baseValid bool
+	succOff   []int32 // len NumTasks+1; task id's successors are succs[succOff[id]:succOff[id+1]]
+	succs     []int32
+	sealed    bool // succOff/succs match preds
 }
 
-// taskChunk and edgeChunkSlots size the arena chunks; initialEdgeCap is
-// the starting capacity of a task's Succs/Preds slice (growth beyond it
-// falls back to the regular allocator).
-const (
-	taskChunk      = 512
-	edgeChunkSlots = 1024
-	initialEdgeCap = 4
-	edgeChunkLen   = initialEdgeCap * edgeChunkSlots
-)
+// taskChunk sizes the task arena chunks: 1024 tasks are 32 KiB, a
+// whole number of pages. A chunk that exactly fills a small size class
+// would spill into the next one, because the allocator adds an 8-byte
+// header to pointerful objects of that size.
+const taskChunk = 1024
 
 func (g *Graph) newTask() *Task {
 	ci, off := g.taskUsed/taskChunk, g.taskUsed%taskChunk
@@ -107,36 +109,25 @@ func (g *Graph) newTask() *Task {
 	return t
 }
 
-// edgeSlice allocates a zero-length, capacity-c slot from the edge
-// arena (c a multiple of initialEdgeCap, at most edgeChunkLen). A slot
-// never straddles chunks; a chunk tail too small for the request is
-// abandoned.
-func (g *Graph) edgeSlice(c int) []*Task {
-	if rem := edgeChunkLen - g.edgeUsed%edgeChunkLen; rem < c {
-		g.edgeUsed += rem
+// push appends v to s, doubling the capacity when s is full. append
+// grows a large slice by about 1.25×, which allocates about five times
+// the final size over a build; doubling allocates about twice.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		ns := make([]T, len(s), max(2*len(s), 16))
+		copy(ns, s)
+		s = ns
 	}
-	ci, off := g.edgeUsed/edgeChunkLen, g.edgeUsed%edgeChunkLen
-	if ci == len(g.edgeChunks) {
-		g.edgeChunks = append(g.edgeChunks, make([]*Task, edgeChunkLen))
-	}
-	g.edgeUsed += c
-	return g.edgeChunks[ci][off : off : off+c]
+	return append(s, v)
 }
 
-func (g *Graph) newEdgeSlice() []*Task { return g.edgeSlice(initialEdgeCap) }
-
-// appendEdge appends t to an edge slice, growing through the arena
-// (doubling, like append) so high fan-out tasks also rebuild
-// allocation-free into a recycled graph. The abandoned smaller slot
-// stays dead until Reuse; slices that would outgrow a whole chunk fall
-// back to the regular allocator.
-func (g *Graph) appendEdge(s []*Task, t *Task) []*Task {
-	if len(s) < cap(s) || cap(s)*2 > edgeChunkLen {
-		return append(s, t)
+// resize returns s with length n, reallocating only when its capacity
+// is too small. The contents are unspecified.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
-	ns := g.edgeSlice(cap(s) * 2)[:len(s)]
-	copy(ns, s)
-	return append(ns, t)
+	return s[:n]
 }
 
 // New creates an empty graph.
@@ -148,19 +139,20 @@ func New(name string) *Graph {
 }
 
 // Reuse empties the graph for rebuilding under a new name while
-// retaining its task and edge arena chunks, so repeat builds of a
+// retaining its task chunks and edge arrays, so repeat builds of a
 // workload recycle storage instead of allocating. The previous build's
 // tasks and kernels become invalid; the caller must ensure no runtime
-// still executes them. Edge slices that grew beyond the arena's initial
-// capacity were ordinary allocations and are simply dropped.
+// still executes them.
 func (g *Graph) Reuse(name string) {
 	g.Name = name
 	g.Kernels = g.Kernels[:0]
 	g.Tasks = g.Tasks[:0]
 	clear(g.kernelByName)
 	g.taskUsed = 0
-	g.edgeUsed = 0
-	g.baseValid = false
+	g.preds = g.preds[:0]
+	g.baseNpred = g.baseNpred[:0]
+	g.baseRoots = g.baseRoots[:0]
+	g.sealed = false
 }
 
 // Renew returns g rewound (via Reuse) and renamed when g is non-nil,
@@ -190,97 +182,112 @@ func (g *Graph) AddKernel(name string, d platform.TaskDemand) *Kernel {
 func (g *Graph) KernelByName(name string) *Kernel { return g.kernelByName[name] }
 
 // AddTask creates a task of kernel k with the given predecessor tasks.
+// A predecessor listed twice is two edges.
 func (g *Graph) AddTask(k *Kernel, preds ...*Task) *Task {
 	t := g.newTask()
-	g.baseValid = false
+	g.sealed = false
 	t.ID = len(g.Tasks)
 	t.Kernel = k
 	t.Seq = k.tasks
 	k.tasks++
-	g.Tasks = append(g.Tasks, t)
+	g.Tasks = push(g.Tasks, t)
 	for _, p := range preds {
-		g.AddDep(p, t)
+		g.addDep(p, t)
+	}
+	g.baseNpred = push(g.baseNpred, int32(len(preds)))
+	if len(preds) == 0 {
+		g.baseRoots = append(g.baseRoots, t)
 	}
 	return t
 }
 
-// AddDep records that succ depends on pred. Adding an edge from a
-// later-created task to an earlier one panics, which structurally
-// guarantees acyclicity (tasks are created in a topological order).
-func (g *Graph) AddDep(pred, succ *Task) {
+// addDep records that succ, the task AddTask is creating, depends on
+// pred. An edge from a later-created task to an earlier one panics,
+// which structurally guarantees acyclicity (tasks are created in a
+// topological order).
+func (g *Graph) addDep(pred, succ *Task) {
 	if pred.ID >= succ.ID {
 		panic(fmt.Sprintf("dag: dependency %d -> %d violates creation order", pred.ID, succ.ID))
 	}
-	g.baseValid = false
-	if pred.Succs == nil {
-		pred.Succs = g.newEdgeSlice()
-	}
-	pred.Succs = g.appendEdge(pred.Succs, succ)
-	if succ.Preds == nil {
-		succ.Preds = g.newEdgeSlice()
-	}
-	succ.Preds = g.appendEdge(succ.Preds, pred)
+	g.preds = push(g.preds, int32(pred.ID))
 }
 
-// Roots returns tasks with no predecessors (the initially ready set).
-func (g *Graph) Roots() []*Task {
-	var out []*Task
-	for _, t := range g.Tasks {
-		if len(t.Preds) == 0 {
-			out = append(out, t)
-		}
+// Seal builds the successor lists and returns g. It is one O(tasks +
+// edges) counting-sort pass, idempotent until the next AddTask or
+// Reuse. Succs, BaseState and Validate seal on first use, so a graph
+// used by one goroutine needs no explicit call; a graph shared by
+// concurrent runs must be sealed before it is shared, and is read-only
+// from then on. Workload builders return sealed graphs.
+func (g *Graph) Seal() *Graph {
+	if g.sealed {
+		return g
 	}
-	return out
+	n := len(g.Tasks)
+	off := resize(g.succOff, n+1)
+	clear(off)
+	for _, p := range g.preds {
+		off[p+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	// off[p] is p's fill cursor: it starts at p's first slot and ends
+	// at p+1's, and the shift below restores the starts. Walking the
+	// successors in ID order keeps each list in ascending ID order,
+	// with a repeated predecessor's duplicates adjacent.
+	succs := resize(g.succs, len(g.preds))
+	i := 0
+	for v, np := range g.baseNpred {
+		for _, p := range g.preds[i : i+int(np)] {
+			succs[off[p]] = int32(v)
+			off[p]++
+		}
+		i += int(np)
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	g.succOff, g.succs = off, succs
+	g.sealed = true
+	return g
+}
+
+// Succs returns the IDs of the tasks that depend on task id, in
+// ascending order (a repeated predecessor contributes repeats) — the
+// order in which AddTask recorded the edges. The slice aliases the
+// graph's storage and must not be modified.
+func (g *Graph) Succs(id int) []int32 {
+	if !g.sealed {
+		g.Seal()
+	}
+	return g.succs[g.succOff[id]:g.succOff[id+1]]
 }
 
 // BaseState returns the graph's initial per-task predecessor counts
-// (indexed by Task.ID) and its root set. Both are cached on the graph
-// and derived from the edge structure, which execution never mutates,
-// so the result is valid no matter how many executions have run the
-// graph since it was built. Callers must treat both slices as
-// read-only; they are invalidated by the next structural change
-// (AddTask/AddDep/Reuse).
+// (indexed by Task.ID) and its root set, sealing the graph first.
+// Execution never mutates the graph, so the result is valid no matter
+// how many executions have run it since it was built. Callers must
+// treat both slices as read-only; they are invalidated by the next
+// AddTask or Reuse.
 func (g *Graph) BaseState() ([]int32, []*Task) {
-	if !g.baseValid {
-		if cap(g.baseNpred) < len(g.Tasks) {
-			g.baseNpred = make([]int32, len(g.Tasks))
-		}
-		g.baseNpred = g.baseNpred[:len(g.Tasks)]
-		g.baseRoots = g.baseRoots[:0]
-		for i, t := range g.Tasks {
-			n := len(t.Preds)
-			g.baseNpred[i] = int32(n)
-			if n == 0 {
-				g.baseRoots = append(g.baseRoots, t)
-			}
-		}
-		g.baseValid = true
-	}
+	g.Seal()
 	return g.baseNpred, g.baseRoots
 }
 
 // NumTasks returns the task count.
 func (g *Graph) NumTasks() int { return len(g.Tasks) }
 
-// KernelTaskCount returns the number of tasks of kernel k.
-func (g *Graph) KernelTaskCount(k *Kernel) int { return k.tasks }
-
 // CriticalPathLen returns the number of tasks on the longest path.
 func (g *Graph) CriticalPathLen() int {
 	depth := make([]int, len(g.Tasks))
 	longest := 0
 	// Tasks are topologically ordered by construction.
-	for _, t := range g.Tasks {
-		if depth[t.ID] == 0 {
-			depth[t.ID] = 1
+	for id := range g.Tasks {
+		if depth[id] == 0 {
+			depth[id] = 1
 		}
-		if depth[t.ID] > longest {
-			longest = depth[t.ID]
-		}
-		for _, s := range t.Succs {
-			if d := depth[t.ID] + 1; d > depth[s.ID] {
-				depth[s.ID] = d
-			}
+		longest = max(longest, depth[id])
+		for _, s := range g.Succs(id) {
+			depth[s] = max(depth[s], depth[id]+1)
 		}
 	}
 	return longest
@@ -297,40 +304,32 @@ func (g *Graph) DOP() float64 {
 }
 
 // Validate checks structural invariants: edges only go forward,
-// predecessor lists match incoming edges, and kernels belong to the
-// graph. It returns the first violation found.
+// successor lists match the predecessor counts, and kernels belong to
+// the graph. It returns the first violation found.
 func (g *Graph) Validate() error {
-	inDeg := make([]int, len(g.Tasks))
-	for _, t := range g.Tasks {
+	npred, roots := g.BaseState()
+	inDeg := make([]int32, len(g.Tasks))
+	for id, t := range g.Tasks {
 		if t.Kernel == nil {
-			return fmt.Errorf("task %d has no kernel", t.ID)
+			return fmt.Errorf("task %d has no kernel", id)
 		}
 		if g.kernelByName[t.Kernel.Name] != t.Kernel {
-			return fmt.Errorf("task %d kernel %q not registered", t.ID, t.Kernel.Name)
+			return fmt.Errorf("task %d kernel %q not registered", id, t.Kernel.Name)
 		}
-		for _, s := range t.Succs {
-			if s.ID <= t.ID {
-				return fmt.Errorf("edge %d->%d not forward", t.ID, s.ID)
+		for _, s := range g.Succs(id) {
+			if int(s) <= id {
+				return fmt.Errorf("edge %d->%d not forward", id, s)
 			}
-			inDeg[s.ID]++
+			inDeg[s]++
 		}
 	}
-	for _, t := range g.Tasks {
-		if len(t.Preds) != inDeg[t.ID] {
-			return fmt.Errorf("task %d has %d preds but in-degree=%d", t.ID, len(t.Preds), inDeg[t.ID])
+	for id, n := range npred {
+		if n != inDeg[id] {
+			return fmt.Errorf("task %d has %d preds but in-degree=%d", id, n, inDeg[id])
 		}
 	}
-	if len(g.Roots()) == 0 && len(g.Tasks) > 0 {
+	if len(roots) == 0 && len(g.Tasks) > 0 {
 		return fmt.Errorf("graph has tasks but no roots")
 	}
 	return nil
-}
-
-// TotalWork sums ops and bytes over all tasks.
-func (g *Graph) TotalWork() (ops, bytes float64) {
-	for _, t := range g.Tasks {
-		ops += t.Kernel.Demand.Ops
-		bytes += t.Kernel.Demand.Bytes
-	}
-	return
 }

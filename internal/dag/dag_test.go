@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,15 +23,19 @@ func TestBasicConstruction(t *testing.T) {
 	if g.NumTasks() != 3 {
 		t.Fatalf("NumTasks = %d, want 3", g.NumTasks())
 	}
-	if len(a.Preds) != 0 || len(b.Preds) != 1 || len(c.Preds) != 2 {
-		t.Fatalf("pred counts %d,%d,%d want 0,1,2", len(a.Preds), len(b.Preds), len(c.Preds))
+	npred, roots := g.BaseState()
+	if npred[a.ID] != 0 || npred[b.ID] != 1 || npred[c.ID] != 2 {
+		t.Fatalf("pred counts %v want [0 1 2]", npred)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	roots := g.Roots()
 	if len(roots) != 1 || roots[0] != a {
-		t.Fatalf("Roots = %v", roots)
+		t.Fatalf("roots = %v", roots)
+	}
+	if !slices.Equal(g.Succs(a.ID), []int32{1, 2}) || !slices.Equal(g.Succs(b.ID), []int32{2}) ||
+		len(g.Succs(c.ID)) != 0 {
+		t.Fatalf("succs %v %v %v", g.Succs(a.ID), g.Succs(b.ID), g.Succs(c.ID))
 	}
 }
 
@@ -41,8 +46,12 @@ func TestKernelBookkeeping(t *testing.T) {
 	g.AddTask(k1)
 	g.AddTask(k1)
 	g.AddTask(k2)
-	if g.KernelTaskCount(k1) != 2 || g.KernelTaskCount(k2) != 1 {
-		t.Fatal("kernel task counts wrong")
+	count := map[*Kernel]int{}
+	for _, task := range g.Tasks {
+		count[task.Kernel]++
+	}
+	if count[k1] != 2 || count[k2] != 1 {
+		t.Fatalf("kernel task counts %d, %d want 2, 1", count[k1], count[k2])
 	}
 	if g.KernelByName("k1") != k1 || g.KernelByName("nope") != nil {
 		t.Fatal("KernelByName wrong")
@@ -77,7 +86,7 @@ func TestBackwardEdgePanics(t *testing.T) {
 			t.Fatal("backward edge did not panic")
 		}
 	}()
-	g.AddDep(b, a)
+	g.addDep(b, a)
 }
 
 func TestCriticalPathAndDOP(t *testing.T) {
@@ -90,8 +99,29 @@ func TestCriticalPathAndDOP(t *testing.T) {
 	}
 }
 
+// forkJoin builds `iters` sequential phases, each forking `width`
+// tasks of one kernel that join into a barrier task of another.
+func forkJoin(name string, width, iters int) *Graph {
+	g := New(name)
+	kw := g.AddKernel(name+".work", demand())
+	kj := g.AddKernel(name+".join", demand())
+	var barrier *Task
+	for it := 0; it < iters; it++ {
+		phase := make([]*Task, width)
+		for i := range phase {
+			if barrier == nil {
+				phase[i] = g.AddTask(kw)
+			} else {
+				phase[i] = g.AddTask(kw, barrier)
+			}
+		}
+		barrier = g.AddTask(kj, phase...)
+	}
+	return g
+}
+
 func TestForkJoinShape(t *testing.T) {
-	g := ForkJoin("fj", demand(), demand(), 8, 3)
+	g := forkJoin("fj", 8, 3)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +132,8 @@ func TestForkJoinShape(t *testing.T) {
 	if cp := g.CriticalPathLen(); cp != 6 {
 		t.Fatalf("CriticalPathLen = %d, want 6", cp)
 	}
-	if len(g.Roots()) != 8 {
-		t.Fatalf("Roots = %d, want 8", len(g.Roots()))
-	}
-}
-
-func TestTotalWork(t *testing.T) {
-	g := Chains("c", demand(), 2, 3)
-	ops, bytes := g.TotalWork()
-	if ops != 6e6 || bytes != 6e5 {
-		t.Fatalf("TotalWork = %v, %v", ops, bytes)
+	if _, roots := g.BaseState(); len(roots) != 8 {
+		t.Fatalf("roots = %d, want 8", len(roots))
 	}
 }
 
@@ -170,7 +192,7 @@ func TestEffectiveDemand(t *testing.T) {
 }
 
 func TestWriteDOT(t *testing.T) {
-	g := ForkJoin("fj", demand(), demand(), 3, 2)
+	g := forkJoin("fj", 3, 2)
 	var buf strings.Builder
 	if err := g.WriteDOT(&buf, 0); err != nil {
 		t.Fatal(err)
@@ -195,68 +217,193 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
+// refGraph builds a graph through AddTask and, beside it, reference
+// successor lists: each edge appended to its predecessor's list at
+// AddTask time.
+type refGraph struct {
+	g    *Graph
+	k    *Kernel
+	succ [][]int32
+}
+
+func newRefGraph(g *Graph, name string) *refGraph {
+	g = Renew(g, name)
+	return &refGraph{g: g, k: g.AddKernel("k", demand())}
+}
+
+func (r *refGraph) add(preds ...*Task) *Task {
+	t := r.g.AddTask(r.k, preds...)
+	r.succ = append(r.succ, nil)
+	for _, p := range preds {
+		r.succ[p.ID] = append(r.succ[p.ID], int32(t.ID))
+	}
+	return t
+}
+
+// check compares every task's Succs with the reference lists.
+func (r *refGraph) check(t *testing.T) {
+	t.Helper()
+	if err := r.g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range r.succ {
+		if got := r.g.Succs(id); !slices.Equal(got, want) {
+			t.Fatalf("%s: Succs(%d) = %v, want %v", r.g.Name, id, got, want)
+		}
+	}
+}
+
+// The shapes that stress the counting sort: a hub whose successors are
+// created far apart, a wide join, and predecessors listed twice.
+func starFanOut(r *refGraph) {
+	hub := r.add()
+	for i := 0; i < 40; i++ {
+		r.add(hub)
+		r.add()
+	}
+}
+
+func fanIn(r *refGraph) {
+	var leaves []*Task
+	for i := 0; i < 40; i++ {
+		leaves = append(leaves, r.add())
+	}
+	r.add(leaves...)
+}
+
+// highFanIn is a Biomarker-like shape: hundreds of independent tasks
+// joined by one aggregate, then a hub fanned out to as many tasks.
+func highFanIn(r *refGraph) {
+	var all []*Task
+	for i := 0; i < 311; i++ {
+		all = append(all, r.add())
+	}
+	agg := r.add(all...)
+	for i := 0; i < 300; i++ {
+		r.add(agg, all[i])
+	}
+}
+
+func duplicatePreds(r *refGraph) {
+	a := r.add()
+	b := r.add(a, a)
+	c := r.add(b, a, b, a)
+	r.add(c, c, c, b)
+	r.add(a)
+}
+
+// TestSuccsMatchAppendOrder is the successor-order differential: the
+// CSR lists equal lists built by appending each edge as AddTask
+// records it, for the shapes that stress the counting sort.
+func TestSuccsMatchAppendOrder(t *testing.T) {
+	for name, shape := range map[string]func(*refGraph){
+		"star": starFanOut, "fanin": fanIn, "highfanin": highFanIn, "dups": duplicatePreds,
+	} {
+		r := newRefGraph(nil, name)
+		shape(r)
+		r.check(t)
+	}
+}
+
 // TestReuseRebuildEquivalence proves arena recycling is invisible: a
-// graph rebuilt into recycled chunks is structurally identical to a
-// freshly built one, including high fan-out edge lists that grew
-// through the arena.
+// graph rebuilt into recycled storage has the same tasks, successor
+// lists and base state as a freshly built one, for a star, wide joins
+// and duplicate predecessors, each rebuilt over a different shape.
 func TestReuseRebuildEquivalence(t *testing.T) {
-	build := func(g *Graph) *Graph {
-		g = Renew(g, "star")
-		k := g.AddKernel("k", platform.TaskDemand{Ops: 1e6, Bytes: 1e5})
-		hub := g.AddTask(k)
-		var leaves []*Task
-		for i := 0; i < 40; i++ { // hub fan-out far beyond initialEdgeCap
-			leaves = append(leaves, g.AddTask(k, hub))
+	shapes := []func(*refGraph){starFanOut, fanIn, highFanIn, duplicatePreds}
+	for i, shape := range shapes {
+		fresh := newRefGraph(nil, "shape")
+		shape(fresh)
+		prev := newRefGraph(nil, "prev")
+		shapes[(i+1)%len(shapes)](prev)
+		prev.g.Seal()
+		reused := newRefGraph(prev.g, "shape") // recycles prev's storage
+		shape(reused)
+		reused.check(t)
+		fg, rg := fresh.g, reused.g
+		if fg.NumTasks() != rg.NumTasks() || len(fg.Kernels) != len(rg.Kernels) {
+			t.Fatalf("shape %d differs: %d/%d tasks, %d/%d kernels", i,
+				fg.NumTasks(), rg.NumTasks(), len(fg.Kernels), len(rg.Kernels))
 		}
-		g.AddTask(k, leaves...) // join with fan-in beyond initialEdgeCap
-		return g
-	}
-	fresh := build(nil)
-	reused := build(build(nil)) // second build recycles the first's arenas
-	if err := reused.Validate(); err != nil {
-		t.Fatalf("reused graph invalid: %v", err)
-	}
-	if fresh.NumTasks() != reused.NumTasks() || len(fresh.Kernels) != len(reused.Kernels) {
-		t.Fatalf("shape differs: %d/%d tasks, %d/%d kernels",
-			fresh.NumTasks(), reused.NumTasks(), len(fresh.Kernels), len(reused.Kernels))
-	}
-	for i, ft := range fresh.Tasks {
-		rt := reused.Tasks[i]
-		if ft.ID != rt.ID || ft.Kernel.Name != rt.Kernel.Name || ft.Seq != rt.Seq ||
-			len(ft.Succs) != len(rt.Succs) || len(ft.Preds) != len(rt.Preds) {
-			t.Fatalf("task %d differs after arena reuse", i)
+		fn, froots := fg.BaseState()
+		rn, rroots := rg.BaseState()
+		if !slices.Equal(fn, rn) || len(froots) != len(rroots) {
+			t.Fatalf("shape %d: base state differs after reuse", i)
 		}
-		for j := range ft.Succs {
-			if ft.Succs[j].ID != rt.Succs[j].ID {
-				t.Fatalf("task %d succ %d differs", i, j)
+		for j, ft := range fg.Tasks {
+			rt := rg.Tasks[j]
+			if ft.ID != rt.ID || ft.Kernel.Name != rt.Kernel.Name || ft.Seq != rt.Seq ||
+				!slices.Equal(fg.Succs(j), rg.Succs(j)) {
+				t.Fatalf("shape %d task %d differs after reuse", i, j)
+			}
+		}
+		for j := range froots {
+			if froots[j].ID != rroots[j].ID {
+				t.Fatalf("shape %d root %d differs after reuse", i, j)
 			}
 		}
 	}
 }
 
 // TestReuseRebuildAllocFree asserts the point of the arena rewind:
-// rebuilding an identical workload into a recycled graph performs no
-// task/edge allocations (only kernel registration and builder-local
-// bookkeeping remain).
+// rebuilding an identical workload into a recycled graph, sealed and
+// with its base state, performs no task or edge allocations (only
+// kernel registration and builder-local bookkeeping remain) — for long
+// chains and for a high fan-in join.
 func TestReuseRebuildAllocFree(t *testing.T) {
 	var g *Graph
-	build := func() {
+	chains := func() {
 		g = Renew(g, "chains")
 		k := g.AddKernel("k", platform.TaskDemand{Ops: 1e6, Bytes: 1e5})
 		var prev *Task
-		for i := 0; i < 600; i++ { // spans multiple task chunks
+		for i := 0; i < 1500; i++ { // spans two task chunks
 			if prev == nil {
 				prev = g.AddTask(k)
 			} else {
 				prev = g.AddTask(k, prev)
 			}
 		}
+		g.BaseState()
 	}
-	build()
-	allocs := testing.AllocsPerRun(20, build)
-	// One kernel struct per rebuild plus map-bucket noise; the 600
-	// tasks and their edges must come from the recycled arenas.
-	if allocs > 4 {
-		t.Fatalf("rebuild into recycled graph = %.1f allocs, want <= 4", allocs)
+	chains()
+	// One kernel struct per rebuild plus map-bucket noise; the 1500
+	// tasks and their edges must come from the recycled storage.
+	if allocs := testing.AllocsPerRun(20, chains); allocs > 4 {
+		t.Fatalf("chains rebuild into recycled graph = %.1f allocs, want <= 4", allocs)
+	}
+
+	// The fan-in builder's own bookkeeping (its reference lists and
+	// task slice) allocates; measure the graph alone by rebuilding from
+	// recorded predecessor lists.
+	r := newRefGraph(nil, "fanin")
+	highFanIn(r)
+	ref := r.g
+	preds := make([][]int, ref.NumTasks())
+	for id := range ref.Tasks {
+		for _, s := range ref.Succs(id) {
+			preds[s] = append(preds[s], id)
+		}
+	}
+	buf := make([]*Task, 0, 400)
+	fan := func() {
+		g = Renew(g, "fanin")
+		k := g.AddKernel("k", demand())
+		for _, ps := range preds {
+			buf = buf[:0]
+			for _, p := range ps {
+				buf = append(buf, g.Tasks[p])
+			}
+			g.AddTask(k, buf...)
+		}
+		g.BaseState()
+	}
+	fan()
+	if allocs := testing.AllocsPerRun(20, fan); allocs > 4 {
+		t.Fatalf("fan-in rebuild into recycled graph = %.1f allocs, want <= 4", allocs)
+	}
+	for id := range ref.Tasks {
+		if !slices.Equal(g.Succs(id), ref.Succs(id)) {
+			t.Fatalf("fan-in rebuild: Succs(%d) differs", id)
+		}
 	}
 }

@@ -30,12 +30,12 @@ func (g *Graph) WriteDOT(w io.Writer, maxTasks int) error {
 			return err
 		}
 	}
-	for _, t := range g.Tasks[:limit] {
-		for _, s := range t.Succs {
-			if s.ID >= limit {
+	for id := range limit {
+		for _, s := range g.Succs(id) {
+			if int(s) >= limit {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "  t%d -> t%d;\n", t.ID, s.ID); err != nil {
+			if _, err := fmt.Fprintf(w, "  t%d -> t%d;\n", id, s); err != nil {
 				return err
 			}
 		}

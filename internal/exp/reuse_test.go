@@ -147,8 +147,8 @@ func TestWarmWorkerAllocs(t *testing.T) {
 		rt.Reset(g)
 		rt.Run(g)
 	})
-	// Warm iterations still pay the scheduler constructor, Roots() and
-	// the report's per-kernel stats — tens of allocations, not the
+	// Warm iterations still pay the scheduler constructor and the
+	// report's per-kernel stats — tens of allocations, not the
 	// ~422 of a cold start.
 	t.Logf("warm worker run: %.0f allocs (cold start was ~422)", allocs)
 	if allocs > 60 {

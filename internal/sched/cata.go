@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"joss/internal/dag"
 	"joss/internal/platform"
 	"joss/internal/taskrt"
@@ -20,9 +22,11 @@ type CATA struct {
 	// fraction of the critical path count as critical.
 	CritFrac float64
 
-	bottom []int // bottom level per task ID (memoised, -1 = unknown)
-	top    []int // top level per task ID
-	maxBL  int
+	top    []int32 // top level per task ID: longest chain from a root, inclusive
+	bottom []int32 // bottom level per task ID: longest chain to a leaf, inclusive
+	// maxBL is the largest bottom level among the tasks decided so far
+	// this run: the critical path as far as the run has seen it.
+	maxBL int32
 }
 
 // NewCATA returns the criticality-aware baseline.
@@ -31,75 +35,56 @@ func NewCATA() *CATA { return &CATA{CritFrac: 0.9} }
 // Name implements taskrt.Scheduler.
 func (s *CATA) Name() string { return "CATA" }
 
-// ResetRun implements RunResetter: the level memos are rewound to
-// unknown (capacity retained) and the critical-path length cleared, so
-// the next run recomputes criticality for its own graph exactly like a
-// fresh CATA.
-func (s *CATA) ResetRun() {
-	for i := range s.bottom {
-		s.bottom[i] = -1
-		s.top[i] = -1
-	}
-	s.maxBL = 0
-}
+// ResetRun implements RunResetter. Attach recomputes the levels and
+// clears the critical-path length for every run, so nothing run-scoped
+// is left to rewind; the level slices keep their capacity.
+func (s *CATA) ResetRun() {}
 
 // Attach implements taskrt.Scheduler.
-func (s *CATA) Attach(rt *taskrt.Runtime) { s.rt = rt }
+func (s *CATA) Attach(rt *taskrt.Runtime) {
+	s.rt = rt
+	s.prepare(rt.Graph())
+}
 
 // Scope implements taskrt.Scheduler.
 func (s *CATA) Scope() taskrt.StealScope { return taskrt.StealSameType }
 
-func (s *CATA) grow(id int) {
-	for len(s.bottom) <= id {
-		s.bottom = append(s.bottom, -1)
-		s.top = append(s.top, -1)
+// prepare starts a run on g: it clears maxBL and fills top and bottom
+// in two linear passes. Tasks are created in topological order, so a
+// forward pass over task IDs sees every predecessor of a task before
+// the task itself, and a backward pass every successor.
+func (s *CATA) prepare(g *dag.Graph) {
+	s.maxBL = 0
+	n := g.NumTasks()
+	s.top = slices.Grow(s.top[:0], n)[:n]
+	s.bottom = slices.Grow(s.bottom[:0], n)[:n]
+	for i := range s.top {
+		s.top[i] = 1
 	}
-}
-
-// bottomLevel memoises the longest chain from u downward (inclusive).
-func (s *CATA) bottomLevel(u *dag.Task) int {
-	s.grow(u.ID)
-	if s.bottom[u.ID] >= 0 {
-		return s.bottom[u.ID]
-	}
-	best := 0
-	for _, v := range u.Succs {
-		if d := s.bottomLevel(v); d > best {
-			best = d
+	for id := range n {
+		for _, v := range g.Succs(id) {
+			s.top[v] = max(s.top[v], s.top[id]+1)
 		}
 	}
-	s.bottom[u.ID] = best + 1
-	if best+1 > s.maxBL {
-		s.maxBL = best + 1
-	}
-	return best + 1
-}
-
-// topLevel memoises the longest chain from any root to u (inclusive).
-func (s *CATA) topLevel(u *dag.Task) int {
-	s.grow(u.ID)
-	if s.top[u.ID] >= 0 {
-		return s.top[u.ID]
-	}
-	best := 0
-	for _, p := range u.Preds {
-		if d := s.topLevel(p); d > best {
-			best = d
+	for id := n - 1; id >= 0; id-- {
+		var best int32
+		for _, v := range g.Succs(id) {
+			best = max(best, s.bottom[v])
 		}
+		s.bottom[id] = best + 1
 	}
-	s.top[u.ID] = best + 1
-	return best + 1
 }
 
 // Decide implements taskrt.Scheduler: critical tasks go to the big
 // cluster at maximum frequency, the rest to the little cluster at a
 // low frequency. Memory stays at maximum (CATA has no memory knob).
 // A task is critical when the longest root-to-leaf path through it is
-// close to the DAG's critical path length.
+// close to the longest bottom level among the tasks decided so far
+// (the DAG's critical path once a task on it has been decided).
 func (s *CATA) Decide(t *dag.Task) taskrt.Decision {
-	through := s.topLevel(t) + s.bottomLevel(t) - 1
-	critical := s.maxBL > 0 && float64(through) >= s.CritFrac*float64(s.maxBL)
-	if critical {
+	s.maxBL = max(s.maxBL, s.bottom[t.ID])
+	through := s.top[t.ID] + s.bottom[t.ID] - 1
+	if float64(through) >= s.CritFrac*float64(s.maxBL) {
 		return taskrt.Decision{
 			Placement: platform.Placement{TC: platform.Denver, NC: 1},
 			SetFreq:   true, FC: platform.MaxFC, FM: platform.MaxFM,

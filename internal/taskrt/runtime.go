@@ -527,6 +527,10 @@ func (rt *Runtime) Interrupted() bool { return rt.interrupted }
 // Kernel.Index-indexed state.
 func (rt *Runtime) NumKernels() int { return len(rt.graph.Kernels) }
 
+// Graph returns the graph being executed (valid from Scheduler.Attach
+// onward). Schedulers must treat it as read-only.
+func (rt *Runtime) Graph() *dag.Graph { return rt.graph }
+
 // Reset rewinds the runtime so it can execute another run: the engine
 // returns to time 0 (retaining its pooled events), the machine to max
 // frequencies with the meter rewound, the deques, pools and stats to
@@ -615,8 +619,9 @@ func (rt *Runtime) newSlab() demandCache {
 // finished Runtime must be rewound with Reset before it can Run again.
 // Execution never mutates g: per-run predecessor counters and pending
 // decisions live in the runtime's own task-state lane, seeded from the
-// graph's cached base state, so the same built graph can back any
-// number of runs concurrently across runtimes.
+// graph's base state, so the same built graph, once sealed
+// (dag.Graph.Seal; workload builders return sealed graphs), can back
+// any number of runs concurrently across runtimes.
 func (rt *Runtime) Run(g *dag.Graph) Report {
 	if rt.finished {
 		panic("taskrt: Runtime has finished a run; call Reset before reusing it")
@@ -1126,10 +1131,10 @@ func (rt *Runtime) complete(es *execState) {
 	es.ev = nil
 	rt.Sched.TaskDone(rec)
 
-	for _, s := range task.Succs {
-		rt.npred[s.ID]--
-		if rt.npred[s.ID] == 0 {
-			rt.dispatch(s)
+	for _, s := range rt.graph.Succs(task.ID) {
+		rt.npred[s]--
+		if rt.npred[s] == 0 {
+			rt.dispatch(rt.graph.Tasks[s])
 		}
 	}
 

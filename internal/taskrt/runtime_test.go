@@ -85,10 +85,10 @@ func TestDependencyOrderRespected(t *testing.T) {
 		start[r.Task.ID] = r.StartSec
 	}
 	for _, task := range g.Tasks {
-		for _, succ := range task.Succs {
-			if start[succ.ID] < end[task.ID]-1e-12 {
+		for _, succ := range g.Succs(task.ID) {
+			if start[int(succ)] < end[task.ID]-1e-12 {
 				t.Fatalf("task %d started %.9f before pred %d ended %.9f",
-					succ.ID, start[succ.ID], task.ID, end[task.ID])
+					succ, start[int(succ)], task.ID, end[task.ID])
 			}
 		}
 	}
@@ -367,8 +367,8 @@ func TestPropertyRuntimeInvariants(t *testing.T) {
 			end[r.Task.ID] = r.EndSec
 		}
 		for _, r := range s.done {
-			for _, succ := range r.Task.Succs {
-				if end[succ.ID] < r.EndSec-1e-12 {
+			for _, succ := range g.Succs(r.Task.ID) {
+				if end[int(succ)] < r.EndSec-1e-12 {
 					return false
 				}
 			}

@@ -12,6 +12,10 @@
 // A scale parameter multiplies task counts so full experiment sweeps
 // finish quickly; scale=1 restores paper-sized DAGs. Task *sizes* are
 // unaffected by scale.
+//
+// Every builder returns a sealed graph (dag.Graph.Seal): its successor
+// lists and base state are built and it is read-only from then on, so
+// one build can back concurrent runs.
 package workloads
 
 import (
@@ -95,7 +99,7 @@ func hdInto(reuse *dag.Graph, size HDSize, scale float64) *dag.Graph {
 			prevCopy[b] = g.AddTask(cp, jrow[b])
 		}
 	}
-	return g
+	return g.Seal()
 }
 
 // DP builds Dot Product: 100 iterations over a blocked vector pair
@@ -133,7 +137,7 @@ func dpInto(reuse *dag.Graph, scale float64) *dag.Graph {
 		}
 		barrier = g.AddTask(reduce, blocksT...)
 	}
-	return g
+	return g.Seal()
 }
 
 // FB builds Fibonacci by recursion (Table 1: term 55, grain size 34,
@@ -177,7 +181,7 @@ func fbInto(reuse *dag.Graph, scale float64) *dag.Graph {
 		return g.AddTask(comb, a, b)
 	}
 	build(term)
-	return g
+	return g.Seal()
 }
 
 // vggLayers describes the fork width and kernel behaviour of each
@@ -240,7 +244,7 @@ func vgInto(reuse *dag.Graph, scale float64) *dag.Graph {
 			barrier = g.AddTask(join, tasks...)
 		}
 	}
-	return g
+	return g.Seal()
 }
 
 // BI builds the Biomarker Infection medical use case: computing
@@ -281,7 +285,7 @@ func biInto(reuse *dag.Graph, scale float64) *dag.Graph {
 		all = append(all, t)
 	}
 	g.AddTask(agg, all...)
-	return g
+	return g.Seal()
 }
 
 // AL builds Alya, the computational-mechanics PDE solver parallelised
@@ -315,7 +319,7 @@ func alInto(reuse *dag.Graph, scale float64) *dag.Graph {
 		}
 		prev = cur
 	}
-	return g
+	return g.Seal()
 }
 
 // stencil3 returns the 3-point neighbour stencil row[i-1], row[i],
@@ -387,7 +391,7 @@ func sluInto(reuse *dag.Graph, scale float64) *dag.Graph {
 			}
 		}
 	}
-	return g
+	return g.Seal()
 }
 
 // MM builds the synthetic Matrix Multiplication benchmark: independent
@@ -463,7 +467,7 @@ func buildChains(reuse *dag.Graph, name, kernel string, d platform.TaskDemand, w
 			}
 		}
 	}
-	return g
+	return g.Seal()
 }
 
 // Config names one experiment workload configuration (one x-axis
@@ -481,9 +485,10 @@ type Config struct {
 // arenas when old is non-nil (old must no longer be executing). The
 // result is structurally identical to Build(scale) — sweep workers use
 // it to rebuild graphs without allocating once their arenas are warm.
+// The result is sealed.
 func (c Config) BuildReuse(old *dag.Graph, scale float64) *dag.Graph {
 	if c.into == nil {
-		return c.Build(scale)
+		return c.Build(scale).Seal()
 	}
 	return c.into(old, scale)
 }

@@ -2,8 +2,10 @@ package workloads
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"joss/internal/dag"
 	"joss/internal/platform"
 )
 
@@ -71,7 +73,13 @@ func TestSLUShape(t *testing.T) {
 	if bmod == nil {
 		t.Fatal("SLU has no BMOD kernel")
 	}
-	frac := float64(g.KernelTaskCount(bmod)) / float64(g.NumTasks())
+	nbmod := 0
+	for _, task := range g.Tasks {
+		if task.Kernel == bmod {
+			nbmod++
+		}
+	}
+	frac := float64(nbmod) / float64(g.NumTasks())
 	// §7.1: BMOD accounts for 91% of SparseLU's tasks.
 	if frac < 0.88 || frac > 0.94 {
 		t.Fatalf("BMOD fraction = %.3f, want ≈0.91", frac)
@@ -157,6 +165,26 @@ func TestWarmBuildAllocsBounded(t *testing.T) {
 		})
 		if allocs > maxAllocs {
 			t.Errorf("%s: warm BuildReuse made %.0f allocations, want <= %d", cfg.Name, allocs, maxAllocs)
+		}
+	}
+}
+
+// TestBuildersReturnSealedGraphs pins that Build and BuildReuse hand
+// out sealed graphs, which is what lets one build back concurrent
+// runs: the first BaseState and Succs on a fresh build find the
+// successor lists built and allocate nothing (an unsealed graph would
+// allocate them here, on whichever run came first).
+func TestBuildersReturnSealedGraphs(t *testing.T) {
+	for _, cfg := range Fig8Configs() {
+		for _, g := range []*dag.Graph{cfg.Build(0.02), cfg.BuildReuse(nil, 0.02)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			g.BaseState()
+			g.Succs(0)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("%s: first BaseState on a built graph made %d allocations, want 0 (graph not sealed)", cfg.Name, n)
+			}
 		}
 	}
 }
